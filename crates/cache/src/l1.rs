@@ -8,7 +8,7 @@ use gpumem_types::{
     AccessKind, Cycle, FetchArena, LineAddr, MemFetch, QueueStats, SimQueue, SlotId,
 };
 
-use crate::{MshrTable, TagArray};
+use crate::{MshrAllocation, MshrError, MshrTable, TagArray};
 
 /// Why the L1 refused an access this cycle (the access must be retried).
 ///
@@ -121,10 +121,11 @@ impl Ord for HitEntry {
 /// line and release all merged accesses at once.
 ///
 /// The owner drives it with one [`access`](L1Dcache::access) per cycle at
-/// most (the L1 port), drains [`pop_ready_hits`](L1Dcache::pop_ready_hits)
-/// and the miss queue, pushes interconnect responses through
-/// [`fill`](L1Dcache::fill), and calls [`observe`](L1Dcache::observe) once
-/// per cycle.
+/// most (the L1 port), drains
+/// [`pop_ready_hits_into`](L1Dcache::pop_ready_hits_into) and the miss
+/// queue, pushes interconnect responses through
+/// [`fill_into`](L1Dcache::fill_into), and calls
+/// [`observe`](L1Dcache::observe) once per cycle.
 #[derive(Debug)]
 pub struct L1Dcache {
     line_bytes: u64,
@@ -135,6 +136,8 @@ pub struct L1Dcache {
     /// access — its body IS the request travelling down the hierarchy, so
     /// no copy is parked here; the returning fill reconstitutes it.
     mshr: MshrTable<Option<SlotId>>,
+    /// Reused buffer for the waiters a fill drains out of `mshr`.
+    waiters: Vec<Option<SlotId>>,
     miss_queue: SimQueue<MemFetch>,
     ready_hits: BinaryHeap<HitEntry>,
     /// Parked bodies of merged waiters and latency-pending hit responses.
@@ -157,6 +160,7 @@ impl L1Dcache {
             hit_latency: l1.hit_latency,
             tags: TagArray::new(l1.sets, l1.assoc),
             mshr: MshrTable::new(l1.mshr_entries, l1.mshr_merge),
+            waiters: Vec::with_capacity(l1.mshr_merge),
             miss_queue: SimQueue::new("l1_miss", l1.miss_queue),
             ready_hits: BinaryHeap::new(),
             arena: FetchArena::with_capacity(l1.mshr_entries * l1.mshr_merge),
@@ -191,18 +195,25 @@ impl L1Dcache {
                     self.next_seq += 1;
                     return L1AccessOutcome::Hit;
                 }
-                // Miss path. A merge consumes no miss-queue slot; a fresh
-                // entry needs both a register and queue space.
-                if self.mshr.contains(fetch.line) {
-                    if !self.mshr.can_accept(fetch.line) {
+                // Miss path, one MSHR search. A merge consumes no
+                // miss-queue slot; a fresh entry needs both a register and
+                // queue space.
+                let reservation = match self.mshr.reserve(fetch.line) {
+                    Ok(r) => r,
+                    Err(MshrError::MergeCapacity) => {
                         self.stats.mshr_merge_stalls += 1;
                         return L1AccessOutcome::Blocked(fetch, L1BlockReason::MshrMergeCapacity);
                     }
+                    Err(MshrError::Full) => {
+                        self.stats.mshr_full_stalls += 1;
+                        return L1AccessOutcome::Blocked(fetch, L1BlockReason::MshrFull);
+                    }
+                };
+                if reservation.kind() == MshrAllocation::Merged {
                     fetch.timeline.l1_miss = Some(now);
-                    let line = fetch.line;
                     let slot = self.arena.insert(fetch);
-                    if self.mshr.allocate(line, Some(slot)).is_err() {
-                        // Unreachable after can_accept; recover the body and
+                    if self.mshr.commit(reservation, Some(slot)).is_err() {
+                        // Unreachable after reserve; recover the body and
                         // stall rather than panic in the model hot path.
                         let mut fetch = self.arena.take(slot);
                         fetch.timeline.l1_miss = None;
@@ -213,10 +224,6 @@ impl L1Dcache {
                     self.stats.merged_misses += 1;
                     return L1AccessOutcome::Miss { merged: true };
                 }
-                if !self.mshr.can_accept(fetch.line) {
-                    self.stats.mshr_full_stalls += 1;
-                    return L1AccessOutcome::Blocked(fetch, L1BlockReason::MshrFull);
-                }
                 if self.miss_queue.is_full() {
                     self.stats.miss_queue_stalls += 1;
                     return L1AccessOutcome::Blocked(fetch, L1BlockReason::MissQueueFull);
@@ -226,8 +233,8 @@ impl L1Dcache {
                 // The primary access is not copied: its body travels down
                 // the hierarchy as the fill request and comes back through
                 // `fill`, which reconstitutes it from the response.
-                if self.mshr.allocate(fetch.line, None).is_err() {
-                    // Unreachable after can_accept; stall rather than panic.
+                if self.mshr.commit(reservation, None).is_err() {
+                    // Unreachable after reserve; stall rather than panic.
                     fetch.timeline.l1_miss = None;
                     self.stats.load_misses -= 1;
                     self.stats.mshr_full_stalls += 1;
@@ -237,7 +244,8 @@ impl L1Dcache {
                     // Unreachable after is_full; undo the allocation and
                     // stall rather than panic.
                     let mut fetch = e.into_inner();
-                    self.mshr.complete(fetch.line);
+                    self.mshr.complete_into(fetch.line, &mut self.waiters);
+                    self.waiters.clear();
                     fetch.timeline.l1_miss = None;
                     self.stats.load_misses -= 1;
                     self.stats.miss_queue_stalls += 1;
@@ -267,9 +275,9 @@ impl L1Dcache {
         }
     }
 
-    /// Completed load hits whose latency has elapsed.
-    pub fn pop_ready_hits(&mut self, now: Cycle) -> Vec<MemFetch> {
-        let mut out = Vec::new();
+    /// Appends the completed load hits whose latency has elapsed to `out`,
+    /// in ready order.
+    pub fn pop_ready_hits_into(&mut self, now: Cycle, out: &mut Vec<MemFetch>) {
         while let Some(head) = self.ready_hits.peek() {
             if head.ready > now {
                 break;
@@ -279,6 +287,12 @@ impl L1Dcache {
             };
             out.push(self.arena.take(entry.slot));
         }
+    }
+
+    /// Completed load hits whose latency has elapsed.
+    pub fn pop_ready_hits(&mut self, now: Cycle) -> Vec<MemFetch> {
+        let mut out = Vec::new();
+        self.pop_ready_hits_into(now, &mut out);
         out
     }
 
@@ -293,32 +307,40 @@ impl L1Dcache {
         self.miss_queue.pop()
     }
 
-    /// Installs a returning line and releases every access merged on it.
-    /// The returned fetches (primary + merged) are completed loads to wake
-    /// warps with. Write-through means evicted lines are never dirty, so no
-    /// writeback traffic is generated.
+    /// Installs a returning line and appends every access merged on it to
+    /// `out`: the completed loads (primary + merged, in arrival order) to
+    /// wake warps with. Write-through means evicted lines are never dirty,
+    /// so no writeback traffic is generated.
     ///
     /// Takes the response by value: the primary waiter was never copied at
     /// miss time, so the returning body itself completes it.
-    pub fn fill(&mut self, fetch: MemFetch, now: Cycle) -> Vec<MemFetch> {
+    pub fn fill_into(&mut self, fetch: MemFetch, now: Cycle, out: &mut Vec<MemFetch>) {
         let set = self.set_of(fetch.line);
         self.tags.fill(set, fetch.line, now);
-        let waiters = self.mshr.complete(fetch.line);
+        self.mshr.complete_into(fetch.line, &mut self.waiters);
         let mut primary = Some(fetch);
-        waiters
-            .into_iter()
-            .filter_map(|w| {
-                // Each entry holds exactly one primary; a duplicate is
-                // skipped here and surfaces as a conservation failure
-                // (MshrLeak) at the simulator's run-end check.
-                let mut f = match w {
-                    None => primary.take()?,
-                    Some(slot) => self.arena.take(slot),
-                };
-                f.timeline.returned = Some(now);
-                Some(f)
-            })
-            .collect()
+        for w in self.waiters.drain(..) {
+            // Each entry holds exactly one primary; a duplicate is skipped
+            // here and surfaces as a conservation failure (MshrLeak) at the
+            // simulator's run-end check.
+            let mut f = match w {
+                None => match primary.take() {
+                    Some(f) => f,
+                    None => continue,
+                },
+                Some(slot) => self.arena.take(slot),
+            };
+            f.timeline.returned = Some(now);
+            out.push(f);
+        }
+    }
+
+    /// Installs a returning line and releases every access merged on it;
+    /// see [`fill_into`](Self::fill_into).
+    pub fn fill(&mut self, fetch: MemFetch, now: Cycle) -> Vec<MemFetch> {
+        let mut out = Vec::new();
+        self.fill_into(fetch, now, &mut out);
+        out
     }
 
     /// Ready time of the earliest queued hit response, if any.

@@ -38,5 +38,5 @@ mod mshr;
 mod tag_array;
 
 pub use l1::{L1AccessOutcome, L1BlockReason, L1Dcache, L1Stats};
-pub use mshr::{MshrAllocation, MshrError, MshrTable};
+pub use mshr::{MshrAllocation, MshrError, MshrReservation, MshrTable};
 pub use tag_array::{EvictedLine, ReplacementOutcome, TagArray};

@@ -1,6 +1,5 @@
 //! Miss Status Holding Registers with request merging.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -42,9 +41,26 @@ impl fmt::Display for MshrError {
 
 impl Error for MshrError {}
 
-#[derive(Debug, Clone)]
-struct Entry<W> {
-    waiters: Vec<W>,
+/// Where a line stands in an [`MshrTable`], found by one search in
+/// [`MshrTable::reserve`] and spent by [`MshrTable::commit`].
+///
+/// Holding a reservation lets a caller check its own resources (a miss
+/// queue slot, an arena slot) between the capacity check and the insert
+/// without searching the table twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MshrReservation {
+    line: LineAddr,
+    /// Position of `line` in the sorted index (its insertion point when
+    /// absent).
+    pos: usize,
+    kind: MshrAllocation,
+}
+
+impl MshrReservation {
+    /// Whether committing will open a fresh entry or merge into one.
+    pub fn kind(&self) -> MshrAllocation {
+        self.kind
+    }
 }
 
 /// A table of Miss Status Holding Registers.
@@ -54,6 +70,11 @@ struct Entry<W> {
 /// instead of issuing duplicate downstream requests. The waiter payload `W`
 /// is caller-defined — the L1 stores the merged [`gpumem_types::MemFetch`]s
 /// so it can complete all of them on fill.
+///
+/// The table is flat: a line-sorted index over a pool of waiter lists. A
+/// completed entry's list is emptied but keeps its capacity for the next
+/// allocation, so once every register has been used the table allocates
+/// nothing.
 ///
 /// # Example
 ///
@@ -72,7 +93,14 @@ struct Entry<W> {
 pub struct MshrTable<W> {
     max_entries: usize,
     max_merge: usize,
-    entries: BTreeMap<LineAddr, Entry<W>>,
+    /// Outstanding lines in ascending order, each with the register (index
+    /// into `lists`) holding its waiters.
+    index: Vec<(LineAddr, usize)>,
+    /// Waiter lists, one per register ever used.
+    lists: Vec<Vec<W>>,
+    /// Registers in `lists` not currently outstanding (their lists are
+    /// empty).
+    free: Vec<usize>,
     peak_occupancy: usize,
     merges: u64,
     allocations: u64,
@@ -91,7 +119,9 @@ impl<W> MshrTable<W> {
         MshrTable {
             max_entries,
             max_merge,
-            entries: BTreeMap::new(),
+            index: Vec::new(),
+            lists: Vec::new(),
+            free: Vec::new(),
             peak_occupancy: 0,
             merges: 0,
             allocations: 0,
@@ -100,12 +130,12 @@ impl<W> MshrTable<W> {
 
     /// Number of outstanding entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True if no miss is outstanding.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Maximum number of entries.
@@ -113,17 +143,114 @@ impl<W> MshrTable<W> {
         self.max_entries
     }
 
+    fn search(&self, line: LineAddr) -> Result<usize, usize> {
+        self.index.binary_search_by_key(&line, |&(l, _)| l)
+    }
+
     /// True if `line` already has an outstanding entry.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.contains_key(&line)
+        self.search(line).is_ok()
     }
 
     /// Whether [`allocate`](Self::allocate) would succeed for `line`.
     pub fn can_accept(&self, line: LineAddr) -> bool {
-        match self.entries.get(&line) {
-            Some(e) => e.waiters.len() < self.max_merge,
-            None => self.entries.len() < self.max_entries,
+        self.reserve(line).is_ok()
+    }
+
+    /// Checks, with one search, whether an access to `line` can be
+    /// recorded, and how. Nothing changes until the reservation is passed
+    /// to [`commit`](Self::commit).
+    ///
+    /// # Errors
+    ///
+    /// [`MshrError::Full`] if a fresh entry is needed but none is free;
+    /// [`MshrError::MergeCapacity`] if the line's entry cannot absorb more
+    /// waiters.
+    pub fn reserve(&self, line: LineAddr) -> Result<MshrReservation, MshrError> {
+        match self.search(line) {
+            Ok(pos) => {
+                if self.lists[self.index[pos].1].len() >= self.max_merge {
+                    return Err(MshrError::MergeCapacity);
+                }
+                Ok(MshrReservation {
+                    line,
+                    pos,
+                    kind: MshrAllocation::Merged,
+                })
+            }
+            Err(pos) => {
+                if self.index.len() >= self.max_entries {
+                    return Err(MshrError::Full);
+                }
+                Ok(MshrReservation {
+                    line,
+                    pos,
+                    kind: MshrAllocation::NewEntry,
+                })
+            }
         }
+    }
+
+    /// True if `r` still points at the right place in the index: at
+    /// `r.line`'s entry for a merge, between its neighbours for a fresh
+    /// entry. Always so when nothing was committed or completed since
+    /// `r` was taken.
+    fn is_current(&self, r: &MshrReservation) -> bool {
+        match r.kind {
+            MshrAllocation::Merged => self.index.get(r.pos).is_some_and(|&(l, _)| l == r.line),
+            MshrAllocation::NewEntry => {
+                r.pos <= self.index.len()
+                    && (r.pos == 0 || self.index[r.pos - 1].0 < r.line)
+                    && self.index.get(r.pos).is_none_or(|&(l, _)| l > r.line)
+            }
+        }
+    }
+
+    /// Records `waiter` as [`reserve`](Self::reserve) decided. A
+    /// reservation made stale by an intervening mutation is re-checked
+    /// rather than trusted.
+    ///
+    /// # Errors
+    ///
+    /// As [`reserve`](Self::reserve), when a stale reservation no longer
+    /// fits.
+    pub fn commit(
+        &mut self,
+        reservation: MshrReservation,
+        waiter: W,
+    ) -> Result<MshrAllocation, MshrError> {
+        let r = if self.is_current(&reservation) {
+            reservation
+        } else {
+            self.reserve(reservation.line)?
+        };
+        match r.kind {
+            MshrAllocation::Merged => {
+                let list = self.index[r.pos].1;
+                if self.lists[list].len() >= self.max_merge {
+                    return Err(MshrError::MergeCapacity);
+                }
+                self.lists[list].push(waiter);
+                self.merges += 1;
+            }
+            MshrAllocation::NewEntry => {
+                if self.index.len() >= self.max_entries {
+                    return Err(MshrError::Full);
+                }
+                let list = match self.free.pop() {
+                    Some(list) => list,
+                    None => {
+                        self.lists.push(Vec::new());
+                        self.lists.len() - 1
+                    }
+                };
+                self.lists[list].push(waiter);
+                self.index.insert(r.pos, (r.line, list));
+                self.allocations += 1;
+                self.peak_occupancy = self.peak_occupancy.max(self.index.len());
+            }
+        }
+        Ok(r.kind)
     }
 
     /// Records an access to `line` carrying `waiter`.
@@ -134,41 +261,38 @@ impl<W> MshrTable<W> {
     /// [`MshrError::MergeCapacity`] if the line's entry cannot absorb more
     /// waiters.
     pub fn allocate(&mut self, line: LineAddr, waiter: W) -> Result<MshrAllocation, MshrError> {
-        if let Some(entry) = self.entries.get_mut(&line) {
-            if entry.waiters.len() >= self.max_merge {
-                return Err(MshrError::MergeCapacity);
-            }
-            entry.waiters.push(waiter);
-            self.merges += 1;
-            return Ok(MshrAllocation::Merged);
-        }
-        if self.entries.len() >= self.max_entries {
-            return Err(MshrError::Full);
-        }
-        self.entries.insert(
-            line,
-            Entry {
-                waiters: vec![waiter],
-            },
-        );
-        self.allocations += 1;
-        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
-        Ok(MshrAllocation::NewEntry)
+        let r = self.reserve(line)?;
+        self.commit(r, waiter)
     }
 
     /// The waiters currently merged on `line`, if it is outstanding.
     pub fn waiters_of(&self, line: LineAddr) -> Option<&[W]> {
-        self.entries.get(&line).map(|e| e.waiters.as_slice())
+        let pos = self.search(line).ok()?;
+        Some(self.lists[self.index[pos].1].as_slice())
+    }
+
+    /// Completes the outstanding miss for `line`, releasing the register
+    /// and appending all merged waiters to `out` in arrival order. Appends
+    /// nothing if the line had no entry (e.g. a stray fill). Returns the
+    /// number of waiters appended.
+    pub fn complete_into(&mut self, line: LineAddr, out: &mut Vec<W>) -> usize {
+        let Ok(pos) = self.search(line) else {
+            return 0;
+        };
+        let (_, list) = self.index.remove(pos);
+        let n = self.lists[list].len();
+        out.append(&mut self.lists[list]);
+        self.free.push(list);
+        n
     }
 
     /// Completes the outstanding miss for `line`, releasing the register
     /// and returning all merged waiters in arrival order. Returns an empty
     /// vector if the line had no entry (e.g. a stray fill).
     pub fn complete(&mut self, line: LineAddr) -> Vec<W> {
-        self.entries
-            .remove(&line)
-            .map(|e| e.waiters)
-            .unwrap_or_default()
+        let mut out = Vec::new();
+        self.complete_into(line, &mut out);
+        out
     }
 
     /// Highest simultaneous occupancy seen.
@@ -186,9 +310,9 @@ impl<W> MshrTable<W> {
         self.merges
     }
 
-    /// Iterates over the lines currently outstanding.
+    /// Iterates over the lines currently outstanding, in ascending order.
     pub fn outstanding_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.entries.keys().copied()
+        self.index.iter().map(|&(line, _)| line)
     }
 }
 

@@ -1,8 +1,10 @@
 //! Property tests for the cache substrate.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
-use gpumem_cache::{L1AccessOutcome, L1Dcache, MshrTable, ReplacementOutcome, TagArray};
+use gpumem_cache::{
+    L1AccessOutcome, L1Dcache, MshrAllocation, MshrError, MshrTable, ReplacementOutcome, TagArray,
+};
 use gpumem_config::GpuConfig;
 use gpumem_types::{AccessKind, CoreId, Cycle, FetchId, LineAddr, MemFetch};
 use proptest::prelude::*;
@@ -82,37 +84,82 @@ proptest! {
     }
 
     /// MSHR: waiters are conserved — everything allocated is returned by
-    /// exactly one complete() — and capacities are enforced.
+    /// exactly one completion, in arrival order — and capacities are
+    /// enforced, checked against a map-of-vectors reference model after
+    /// every operation. Ops: 0 = `allocate`, 1 = `reserve` + `commit`,
+    /// 2 = `complete`, 3 = `complete_into` an already non-empty buffer
+    /// followed at once by re-allocating the same line (the freed waiter
+    /// list is recycled for the next entry).
     #[test]
     fn mshr_conserves_waiters(
         entries in 1usize..8,
         merge in 1usize..6,
-        ops in prop::collection::vec((0u64..16, any::<bool>()), 0..200),
+        ops in prop::collection::vec((0u64..16, 0u8..4), 0..200),
     ) {
         let mut mshr: MshrTable<u64> = MshrTable::new(entries, merge);
-        let mut model: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         let mut next_waiter = 0u64;
         let mut allocated: u64 = 0;
         let mut returned: u64 = 0;
-        for (line, complete) in ops {
+        let mut buf: Vec<u64> = Vec::new();
+        for (line, op) in ops {
             let addr = LineAddr::new(line);
-            if complete {
-                let got = mshr.complete(addr);
-                let expect = model.remove(&line).unwrap_or_default();
-                prop_assert_eq!(&got, &expect);
-                returned += got.len() as u64;
-            } else {
-                let can = mshr.can_accept(addr);
-                let res = mshr.allocate(addr, next_waiter);
-                prop_assert_eq!(can, res.is_ok());
-                if res.is_ok() {
+            let mut allocate = |mshr: &mut MshrTable<u64>,
+                                model: &mut BTreeMap<u64, Vec<u64>>,
+                                via_reserve: bool| {
+                let expect = match model.get(&line) {
+                    Some(ws) if ws.len() >= merge => Err(MshrError::MergeCapacity),
+                    Some(_) => Ok(MshrAllocation::Merged),
+                    None if model.len() >= entries => Err(MshrError::Full),
+                    None => Ok(MshrAllocation::NewEntry),
+                };
+                prop_assert_eq!(mshr.can_accept(addr), expect.is_ok());
+                prop_assert_eq!(mshr.contains(addr), model.contains_key(&line));
+                let got = if via_reserve {
+                    let reservation = mshr.reserve(addr);
+                    prop_assert_eq!(reservation.map(|r| r.kind()), expect);
+                    reservation.and_then(|r| mshr.commit(r, next_waiter))
+                } else {
+                    mshr.allocate(addr, next_waiter)
+                };
+                prop_assert_eq!(got, expect);
+                if got.is_ok() {
                     model.entry(line).or_default().push(next_waiter);
                     allocated += 1;
                     next_waiter += 1;
                 }
+            };
+            match op {
+                0 | 1 => allocate(&mut mshr, &mut model, op == 1),
+                2 => {
+                    let got = mshr.complete(addr);
+                    let expect = model.remove(&line).unwrap_or_default();
+                    prop_assert_eq!(&got, &expect);
+                    returned += got.len() as u64;
+                }
+                _ => {
+                    buf.clear();
+                    buf.push(u64::MAX);
+                    let n = mshr.complete_into(addr, &mut buf);
+                    let expect = model.remove(&line).unwrap_or_default();
+                    prop_assert_eq!(n, expect.len());
+                    prop_assert_eq!(buf[0], u64::MAX, "complete_into must append");
+                    prop_assert_eq!(&buf[1..], expect.as_slice());
+                    returned += n as u64;
+                    allocate(&mut mshr, &mut model, false);
+                }
             }
             prop_assert!(mshr.len() <= entries);
             prop_assert_eq!(mshr.len(), model.len());
+            for l in 0u64..16 {
+                prop_assert_eq!(
+                    mshr.waiters_of(LineAddr::new(l)),
+                    model.get(&l).map(Vec::as_slice)
+                );
+            }
+            let lines: Vec<LineAddr> = mshr.outstanding_lines().collect();
+            let sorted: Vec<LineAddr> = model.keys().map(|&l| LineAddr::new(l)).collect();
+            prop_assert_eq!(lines, sorted, "outstanding_lines must ascend");
         }
         for (line, expect) in model {
             let got = mshr.complete(LineAddr::new(line));

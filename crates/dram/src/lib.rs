@@ -113,6 +113,10 @@ struct Pending {
     /// Earliest cycle the scheduler may consider this request (models the
     /// fixed controller front-end latency).
     ready_at: Cycle,
+    /// Target bank, decoded once at enqueue time.
+    bank: usize,
+    /// Target row within `bank`.
+    row: u64,
 }
 
 #[derive(Debug)]
@@ -275,11 +279,17 @@ impl DramChannel {
             fetch.timeline.dram_arrive = Some(now);
         }
         let ready_at = now + self.cfg.controller_latency;
+        let (bank, row) = self.map_address(fetch.line);
         let queue = match fetch.kind {
             AccessKind::Load => &mut self.queue,
             AccessKind::Store => &mut self.write_queue,
         };
-        match queue.push(Pending { fetch, ready_at }) {
+        match queue.push(Pending {
+            fetch,
+            ready_at,
+            bank,
+            row,
+        }) {
             Ok(()) => {
                 self.in_flight += 1;
                 Ok(())
@@ -369,44 +379,25 @@ impl DramChannel {
     /// an open row on an idle bank; otherwise the oldest request whose
     /// bank is idle. Returns whether a request was scheduled.
     fn schedule_one(&mut self, now: Cycle, kind: AccessKind) -> bool {
-        // Borrow-friendly precomputation of bank readiness.
-        let pick_row_hit = |p: &Pending, banks: &[Bank], stride, lpr| {
-            if p.ready_at > now {
-                return false;
-            }
-            let local = p.fetch.line.index() / stride;
-            let grow = local / lpr;
-            let bank = (grow % banks.len() as u64) as usize;
-            let row = grow / banks.len() as u64;
-            banks[bank].busy_until <= now && banks[bank].open_row == Some(row)
-        };
-        let pick_ready = |p: &Pending, banks: &[Bank], stride, lpr| {
-            if p.ready_at > now {
-                return false;
-            }
-            let local = p.fetch.line.index() / stride;
-            let grow = local / lpr;
-            let bank = (grow % banks.len() as u64) as usize;
-            banks[bank].busy_until <= now
-        };
-
-        let (stride, lpr) = (self.stride, self.lines_per_row);
-        let banks_snapshot: Vec<Bank> = self.banks.clone();
+        // `banks` and the selected queue are disjoint fields, so the scans
+        // read the live bank table while the queue is mutably borrowed.
+        let banks = &self.banks;
         let queue = match kind {
             AccessKind::Load => &mut self.queue,
             AccessKind::Store => &mut self.write_queue,
         };
+        let idle = |p: &Pending| p.ready_at <= now && banks[p.bank].busy_until <= now;
         let chosen = queue
-            .remove_first_where(|p| pick_row_hit(p, &banks_snapshot, stride, lpr))
-            .or_else(|| queue.remove_first_where(|p| pick_ready(p, &banks_snapshot, stride, lpr)));
+            .remove_first_where(|p| idle(p) && banks[p.bank].open_row == Some(p.row))
+            .or_else(|| queue.remove_first_where(idle));
         let Some(mut pending) = chosen else {
             return false;
         };
         pending.fetch.timeline.dram_issue = Some(now);
 
-        let (bank_idx, row) = self.map_address(pending.fetch.line);
+        let row = pending.row;
         let t = &self.cfg;
-        let bank = &mut self.banks[bank_idx];
+        let bank = &mut self.banks[pending.bank];
 
         // When can the column command's data phase begin?
         let col_ready = match bank.open_row {
@@ -518,8 +509,7 @@ impl DramChannel {
             fold(head.done_at);
         }
         for p in self.queue.iter().chain(self.write_queue.iter()) {
-            let (bank, _) = self.map_address(p.fetch.line);
-            let at = p.ready_at.max(self.banks[bank].busy_until);
+            let at = p.ready_at.max(self.banks[p.bank].busy_until);
             if at <= now {
                 return Some(now);
             }
@@ -808,6 +798,161 @@ mod tests {
         assert_eq!(d.stats().reads, 1);
         let next = d.next_event(ev).expect("completion pending");
         assert!(next > ev, "completion lies in the future");
+    }
+
+    /// Drives one loaded channel with a seeded mix of reads and writes over
+    /// four banks and four rows (row hits, row conflicts and closed rows in
+    /// both queues). The return queue is drained one read per cycle for 20
+    /// cycles out of every 300, so it fills and the blocked-return write
+    /// preference engages as well as the hot-write-queue one. Returns every
+    /// read in completion order as `(id, dram_issue, dram_data, popped)`.
+    fn characterization_run() -> (Vec<(u64, u64, u64, u64)>, DramChannel) {
+        let cfg = GpuConfig::gtx480();
+        let stride = cfg.num_partitions as u64;
+        let lines_per_row = cfg.dram.row_bytes / cfg.line_bytes;
+        let banks = cfg.dram.banks as u64;
+        let mut d = channel();
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let mut pending: Option<MemFetch> = None;
+        let mut issued = 0_u64;
+        let mut reads = Vec::new();
+        let mut now = Cycle::ZERO;
+        while issued < 96 || pending.is_some() || !d.is_idle() {
+            if pending.is_none() && issued < 96 {
+                let r = next();
+                let (bank, row, col) = (r % 4, (r >> 2) % 4, (r >> 4) % lines_per_row);
+                let local = (row * banks + bank) * lines_per_row + col;
+                let id = issued + 1;
+                pending = Some(if (r >> 8) % 10 < 3 {
+                    store(id, local * stride)
+                } else {
+                    load(id, local * stride)
+                });
+                issued += 1;
+            }
+            if let Some(f) = pending.take() {
+                pending = d.try_push(f, now).err();
+            }
+            d.tick(now).unwrap();
+            d.observe();
+            if (now.raw() / 20).is_multiple_of(15) {
+                if let Some(f) = d.pop_return() {
+                    let t = &f.timeline;
+                    let (issue, data) = (t.dram_issue.unwrap(), t.dram_data.unwrap());
+                    reads.push((f.id.raw(), issue.raw(), data.raw(), now.raw()));
+                }
+            }
+            now = now.next();
+            assert!(now.raw() < 100_000, "characterization stream wedged");
+        }
+        (reads, d)
+    }
+
+    /// Reads of [`characterization_run`] as `(id, dram_issue, dram_data,
+    /// popped)`. Any change to FR-FCFS order, bank timing or the return
+    /// path moves them, so a pure refactor of the scheduler must keep them.
+    const PINNED_READS: [(u64, u64, u64, u64); 75] = [
+        (1, 60, 104, 300),
+        (6, 65, 116, 301),
+        (12, 104, 128, 302),
+        (7, 108, 132, 303),
+        (4, 112, 176, 304),
+        (10, 116, 180, 305),
+        (23, 128, 184, 306),
+        (5, 132, 196, 307),
+        (11, 176, 200, 308),
+        (19, 180, 204, 309),
+        (9, 184, 248, 310),
+        (8, 196, 260, 311),
+        (18, 312, 376, 600),
+        (22, 324, 388, 601),
+        (16, 328, 392, 602),
+        (24, 332, 396, 603),
+        (31, 376, 440, 604),
+        (28, 388, 452, 605),
+        (34, 392, 456, 606),
+        (15, 396, 460, 607),
+        (41, 440, 504, 608),
+        (37, 452, 508, 609),
+        (38, 456, 512, 610),
+        (26, 460, 516, 611),
+        (42, 604, 648, 900),
+        (48, 605, 669, 901),
+        (30, 640, 673, 902),
+        (51, 644, 677, 903),
+        (46, 648, 681, 904),
+        (50, 669, 693, 905),
+        (39, 673, 697, 906),
+        (21, 677, 741, 907),
+        (44, 681, 745, 908),
+        (54, 693, 757, 909),
+        (52, 697, 761, 910),
+        (25, 741, 765, 911),
+        (58, 904, 928, 1200),
+        (63, 905, 932, 1201),
+        (27, 906, 970, 1202),
+        (60, 907, 974, 1203),
+        (57, 928, 992, 1204),
+        (35, 932, 996, 1205),
+        (36, 970, 1000, 1206),
+        (62, 974, 1004, 1207),
+        (61, 992, 1016, 1208),
+        (64, 996, 1060, 1209),
+        (53, 1000, 1064, 1210),
+        (69, 1004, 1068, 1211),
+        (71, 1204, 1228, 1500),
+        (72, 1205, 1232, 1501),
+        (73, 1206, 1236, 1502),
+        (59, 1207, 1271, 1503),
+        (75, 1228, 1275, 1504),
+        (68, 1232, 1296, 1505),
+        (66, 1236, 1300, 1506),
+        (65, 1271, 1304, 1507),
+        (80, 1275, 1308, 1508),
+        (70, 1296, 1360, 1509),
+        (74, 1300, 1364, 1510),
+        (67, 1304, 1368, 1511),
+        (47, 1504, 1528, 1800),
+        (90, 1505, 1532, 1801),
+        (81, 1506, 1570, 1802),
+        (86, 1507, 1574, 1803),
+        (40, 1528, 1592, 1804),
+        (92, 1532, 1596, 1805),
+        (84, 1570, 1600, 1806),
+        (93, 1574, 1604, 1807),
+        (76, 1592, 1616, 1808),
+        (95, 1596, 1620, 1809),
+        (91, 1600, 1624, 1810),
+        (85, 1803, 1827, 2100),
+        (77, 1804, 1868, 2101),
+        (88, 1868, 1932, 2102),
+        (96, 1932, 1996, 2103),
+    ];
+
+    #[test]
+    fn fr_fcfs_characterization_is_pinned() {
+        let (reads, d) = characterization_run();
+        assert_eq!(reads, PINNED_READS);
+        assert_eq!(
+            *d.stats(),
+            DramStats {
+                reads: 75,
+                writes: 21,
+                row_hits: 46,
+                row_closed: 4,
+                row_conflicts: 46,
+                bus_busy_cycles: 384,
+            }
+        );
+        assert_eq!(d.service_latency().count(), 96);
+        assert_eq!(d.service_latency().sum(), 38_715);
+        assert_eq!(d.in_flight(), 0);
     }
 
     #[test]

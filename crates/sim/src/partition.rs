@@ -4,7 +4,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use gpumem_cache::{MshrTable, ReplacementOutcome, TagArray};
+use gpumem_cache::{MshrAllocation, MshrTable, ReplacementOutcome, TagArray};
 use gpumem_config::GpuConfig;
 use gpumem_dram::DramChannel;
 use gpumem_noc::{EgressPort, IngressPort, Packet};
@@ -143,6 +143,8 @@ pub struct MemoryPartition {
     completions: BinaryHeap<BankCompletion>,
     access_queue: SimQueue<MemFetch>,
     mshr: MshrTable<L2Waiter>,
+    /// Reused buffer for the waiters a fill drains out of `mshr`.
+    waiters: Vec<L2Waiter>,
     /// Parked bodies of merged misses (primaries travel to DRAM).
     arena: FetchArena,
     /// Misses traversing the bank pipeline (tag access + request
@@ -213,6 +215,7 @@ impl MemoryPartition {
             completions: BinaryHeap::new(),
             access_queue: SimQueue::new("l2_access", cfg.l2.access_queue),
             mshr: MshrTable::new(cfg.l2.mshr_entries, cfg.l2.mshr_merge),
+            waiters: Vec::with_capacity(cfg.l2.mshr_merge),
             arena: FetchArena::with_capacity(cfg.l2.mshr_entries * cfg.l2.mshr_merge),
             miss_pipeline: std::collections::VecDeque::new(),
             miss_queue: SimQueue::new("l2_miss", cfg.l2.miss_queue),
@@ -414,7 +417,9 @@ impl MemoryPartition {
         let dram_issue = fill.timeline.dram_issue;
         let dram_data = fill.timeline.dram_data;
         let mut primary = Some(fill);
-        for w in self.mshr.complete(line) {
+        let mut waiters = std::mem::take(&mut self.waiters);
+        self.mshr.complete_into(line, &mut waiters);
+        for w in waiters.drain(..) {
             match w {
                 L2Waiter::Primary(kind) => {
                     let Some(body) = primary.take() else {
@@ -469,6 +474,7 @@ impl MemoryPartition {
                 }
             }
         }
+        self.waiters = waiters;
         // Every MSHR entry holds exactly one primary; a fill that consumed
         // no primary means the entry was missing or malformed — a leak that
         // must fail loudly, not drop the line on the floor.
@@ -562,18 +568,23 @@ impl MemoryPartition {
             return Ok(());
         }
 
-        // Miss path: merge if outstanding, else allocate + fetch from DRAM.
-        if self.mshr.contains(line) {
-            if !self.mshr.can_accept(line) {
-                self.stats.stall_mshr += 1;
-                return Ok(());
-            }
+        // Miss path, one MSHR search: merge if outstanding, else allocate
+        // + fetch from DRAM.
+        let Ok(reservation) = self.mshr.reserve(line) else {
+            self.stats.stall_mshr += 1;
+            return Ok(());
+        };
+        if reservation.kind() == MshrAllocation::Merged {
             let Some(mut fetch) = self.access_queue.pop() else {
                 return Ok(());
             };
             fetch.timeline.l2_serve = Some(now);
             let slot = self.arena.insert(fetch);
-            if self.mshr.allocate(line, L2Waiter::Merged(slot)).is_err() {
+            if self
+                .mshr
+                .commit(reservation, L2Waiter::Merged(slot))
+                .is_err()
+            {
                 return Err(SimError::MshrLeak {
                     component: COMPONENT,
                     cycle: now.raw(),
@@ -582,10 +593,6 @@ impl MemoryPartition {
             }
             self.stats.merged_misses += 1;
             self.bank_next_accept[bank] = now.next();
-            return Ok(());
-        }
-        if !self.mshr.can_accept(line) {
-            self.stats.stall_mshr += 1;
             return Ok(());
         }
         let Some(mut dram_req) = self.access_queue.pop() else {
@@ -600,7 +607,7 @@ impl MemoryPartition {
         // before becoming eligible for the miss queue.
         if self
             .mshr
-            .allocate(line, L2Waiter::Primary(dram_req.kind))
+            .commit(reservation, L2Waiter::Primary(dram_req.kind))
             .is_err()
         {
             return Err(SimError::MshrLeak {

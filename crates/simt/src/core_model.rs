@@ -7,7 +7,8 @@ use gpumem_cache::{L1AccessOutcome, L1Dcache, L1Stats};
 use gpumem_config::GpuConfig;
 use gpumem_trace::{OccupancyProbe, TraceCollector, TraceConfig};
 use gpumem_types::{
-    AccessKind, CoreId, CtaId, Cycle, FetchId, LatencyStats, MemFetch, QueueStats, SimQueue,
+    AccessKind, CoreId, CtaId, Cycle, FetchId, LatencyStats, LineAddr, MemFetch, QueueStats,
+    SimQueue,
 };
 
 use crate::warp::WarpSlot;
@@ -113,11 +114,6 @@ pub struct EpochBounds {
     pub warp_finish: u64,
 }
 
-#[derive(Debug)]
-struct IssueReg {
-    accesses: VecDeque<MemFetch>,
-}
-
 /// Trace state owned by one core: the stage-histogram collector fed at the
 /// two completion points (response acceptance and ready-hit pop) plus the
 /// core's queue-occupancy probes. Lives behind an `Option<Box<_>>` so an
@@ -152,7 +148,12 @@ pub struct SimtCore {
     l1: L1Dcache,
     lsu_queue: SimQueue<MemFetch>,
     l1_retry: Option<MemFetch>,
-    issue_reg: Option<IssueReg>,
+    /// Coalesced accesses of the memory instruction being drained into
+    /// the LSU pipeline, one per cycle. Non-empty exactly while the issue
+    /// register is busy; the deque is reused across instructions.
+    issue_reg: VecDeque<MemFetch>,
+    /// Reused buffer for the loads the L1 completes in one call.
+    completed: Vec<MemFetch>,
     /// Assigned warp slots in age order (GTO's "oldest" order).
     issue_order: Vec<usize>,
     last_issued: Option<usize>,
@@ -206,7 +207,8 @@ impl SimtCore {
             l1: L1Dcache::new(cfg),
             lsu_queue: SimQueue::new("lsu_pipeline", cfg.core.mem_pipeline_width),
             l1_retry: None,
-            issue_reg: None,
+            issue_reg: VecDeque::new(),
+            completed: Vec::new(),
             issue_order: Vec::new(),
             last_issued: None,
             next_fetch_seq: 0,
@@ -322,7 +324,7 @@ impl SimtCore {
     /// True while any memory activity is still owned by this core (LSU,
     /// retry slot, issue register or outstanding L1 misses).
     pub fn has_pending_memory(&self) -> bool {
-        self.issue_reg.is_some()
+        !self.issue_reg.is_empty()
             || self.l1_retry.is_some()
             || !self.lsu_queue.is_empty()
             || self.l1.outstanding_misses() > 0
@@ -401,8 +403,9 @@ impl SimtCore {
     pub fn accept_response(&mut self, fetch: MemFetch, now: Cycle) {
         debug_assert_eq!(fetch.core, self.id);
         let sw = self.host_profile.then(gpumem_types::host_wall_clock);
-        let completed = self.l1.fill(fetch, now);
-        for done in completed {
+        let mut completed = std::mem::take(&mut self.completed);
+        self.l1.fill_into(fetch, now, &mut completed);
+        for done in completed.drain(..) {
             if let Some(lat) = done.timeline.l1_miss_latency() {
                 self.miss_latency.record(lat);
             }
@@ -411,6 +414,7 @@ impl SimtCore {
             }
             self.complete_warp_access(&done);
         }
+        self.completed = completed;
         if let Some(sw) = sw {
             self.host_l1_seconds += sw.elapsed_seconds();
         }
@@ -475,12 +479,15 @@ impl SimtCore {
         let sw = self.host_profile.then(gpumem_types::host_wall_clock);
 
         // 1. Wake loads whose L1 hit latency elapsed.
-        for done in self.l1.pop_ready_hits(now) {
+        let mut completed = std::mem::take(&mut self.completed);
+        self.l1.pop_ready_hits_into(now, &mut completed);
+        for done in completed.drain(..) {
             if let Some(tr) = self.trace.as_deref_mut() {
                 tr.collector.record_fetch(&done);
             }
             self.complete_warp_access(&done);
         }
+        self.completed = completed;
 
         // 2. Feed the L1 port (one access per cycle), retry slot first.
         let candidate = self.l1_retry.take().or_else(|| self.lsu_queue.pop());
@@ -501,17 +508,16 @@ impl SimtCore {
 
         // 3. Drain the issue register into the LSU pipeline (one coalesced
         //    access per cycle — the coalescer's throughput).
-        if let Some(reg) = &mut self.issue_reg {
+        if !self.issue_reg.is_empty() {
             if !self.lsu_queue.is_full() {
-                if let Some(access) = reg.accesses.pop_front() {
+                if let Some(access) = self.issue_reg.pop_front() {
                     if let Err(e) = self.lsu_queue.push(access) {
                         // Unreachable after is_full; retry next cycle.
-                        reg.accesses.push_front(e.into_inner());
+                        self.issue_reg.push_front(e.into_inner());
                     }
                 }
             }
-            if reg.accesses.is_empty() {
-                self.issue_reg = None;
+            if self.issue_reg.is_empty() {
                 // The pipeline freeing up changes the classification.
                 self.stall_cache = None;
             }
@@ -574,39 +580,46 @@ impl SimtCore {
             let instr = self.program.instr(warp.cta, warp.warp_in_cta, warp.pc);
             self.warps[w].decoded = Some(instr);
         }
-        let Some(decoded) = self.warps[w].decoded.as_ref() else {
+        // A memory instruction with accesses to drain waits for the issue
+        // register; it stays decoded meanwhile. One without accesses needs
+        // no pipeline: it issues as a 1-cycle no-op, with no access and no
+        // outstanding load.
+        let needs_pipeline = match &self.warps[w].decoded {
+            Some(Some(WarpInstr::Load { lines, .. } | WarpInstr::Store { lines })) => {
+                !lines.is_empty()
+            }
+            _ => false,
+        };
+        if needs_pipeline && !self.issue_reg.is_empty() {
+            return false;
+        }
+        let Some(decoded) = self.warps[w].decoded.take() else {
             return false; // unreachable: filled just above
         };
 
         match decoded {
             None => {
-                self.warps[w].decoded = None;
                 self.finish_warp(w);
                 // Retiring is not an issued instruction.
                 false
             }
             Some(WarpInstr::Alu { latency }) => {
-                let latency = u64::from(*latency).max(1);
                 let warp = &mut self.warps[w];
-                warp.decoded = None;
-                warp.ready_at = now + latency;
+                warp.ready_at = now + u64::from(latency).max(1);
                 warp.pc += 1;
                 self.stats.instructions += 1;
                 self.stats.alu_instrs += 1;
                 true
             }
             Some(WarpInstr::Shared { latency }) => {
-                let latency = u64::from(*latency).max(1);
                 let warp = &mut self.warps[w];
-                warp.decoded = None;
-                warp.ready_at = now + latency;
+                warp.ready_at = now + u64::from(latency).max(1);
                 warp.pc += 1;
                 self.stats.instructions += 1;
                 self.stats.shared_instrs += 1;
                 true
             }
             Some(WarpInstr::Barrier) => {
-                self.warps[w].decoded = None;
                 self.warps[w].pc += 1;
                 self.warps[w].at_barrier = true;
                 self.stats.instructions += 1;
@@ -622,53 +635,49 @@ impl SimtCore {
                 lines,
                 consume_after,
             }) => {
-                if self.issue_reg.is_some() {
-                    return false; // memory pipeline busy; decoded stays cached
+                if lines.is_empty() {
+                    self.warps[w].ready_at = now + 1;
+                } else {
+                    let tag = self.warps[w].post_load(consume_after.max(1), lines.len() as u32);
+                    self.fill_issue_reg(w, AccessKind::Load, &lines, tag, now);
                 }
-                assert!(!lines.is_empty(), "load must touch at least one line");
-                let lines = lines.clone();
-                let consume_after = (*consume_after).max(1);
-                self.warps[w].decoded = None;
-                let tag = self.warps[w].post_load(consume_after, lines.len() as u32);
-                let mut accesses = VecDeque::with_capacity(lines.len());
-                for line in lines {
-                    let mut f =
-                        MemFetch::new(self.next_fetch_id(), AccessKind::Load, line, self.id);
-                    f.warp_slot = w as u32;
-                    f.load_tag = tag;
-                    f.timeline.issued = Some(now);
-                    accesses.push_back(f);
-                }
-                self.stats.global_accesses += accesses.len() as u64;
-                self.issue_reg = Some(IssueReg { accesses });
                 self.warps[w].pc += 1;
                 self.stats.instructions += 1;
                 self.stats.load_instrs += 1;
                 true
             }
             Some(WarpInstr::Store { lines }) => {
-                if self.issue_reg.is_some() {
-                    return false;
+                if lines.is_empty() {
+                    self.warps[w].ready_at = now + 1;
+                } else {
+                    self.fill_issue_reg(w, AccessKind::Store, &lines, 0, now);
                 }
-                assert!(!lines.is_empty(), "store must touch at least one line");
-                let lines = lines.clone();
-                self.warps[w].decoded = None;
-                let mut accesses = VecDeque::with_capacity(lines.len());
-                for line in lines {
-                    let mut f =
-                        MemFetch::new(self.next_fetch_id(), AccessKind::Store, line, self.id);
-                    f.warp_slot = w as u32;
-                    f.timeline.issued = Some(now);
-                    accesses.push_back(f);
-                }
-                self.stats.global_accesses += accesses.len() as u64;
-                self.issue_reg = Some(IssueReg { accesses });
                 self.warps[w].pc += 1;
                 self.stats.instructions += 1;
                 self.stats.store_instrs += 1;
                 true
             }
         }
+    }
+
+    /// Loads the issue register with one access per line of warp `w`'s
+    /// memory instruction.
+    fn fill_issue_reg(
+        &mut self,
+        w: usize,
+        kind: AccessKind,
+        lines: &[LineAddr],
+        load_tag: u32,
+        now: Cycle,
+    ) {
+        for &line in lines {
+            let mut f = MemFetch::new(self.next_fetch_id(), kind, line, self.id);
+            f.warp_slot = w as u32;
+            f.load_tag = load_tag;
+            f.timeline.issued = Some(now);
+            self.issue_reg.push_back(f);
+        }
+        self.stats.global_accesses += lines.len() as u64;
     }
 
     fn next_fetch_id(&mut self) -> FetchId {
@@ -701,8 +710,7 @@ impl SimtCore {
         if cta.live_warps == 0 || cta.barrier_arrived < cta.live_warps {
             return;
         }
-        let slots = cta.warp_slots.clone();
-        for s in slots {
+        for &s in &cta.warp_slots {
             self.warps[s].at_barrier = false;
         }
         if let Some(cta) = &mut self.ctas[cta_slot] {
@@ -768,7 +776,7 @@ impl SimtCore {
         self.ready_lb = ready_lb;
         let kind = if mem_blocked {
             StallKind::Memory
-        } else if any_assigned && self.issue_reg.is_some() {
+        } else if any_assigned && !self.issue_reg.is_empty() {
             StallKind::MemPipeline
         } else if barrier {
             StallKind::Barrier
@@ -804,7 +812,7 @@ impl SimtCore {
         if self.l1.peek_miss().is_some()
             || self.l1_retry.is_some()
             || !self.lsu_queue.is_empty()
-            || self.issue_reg.is_some()
+            || !self.issue_reg.is_empty()
         {
             return Some(now);
         }

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use gpumem::prelude::*;
 use gpumem_sim::MemoryMode;
+use gpumem_types::{CtaId, LineAddr};
 use gpumem_workloads::{params_of, AccessPattern, SyntheticKernel};
 
 /// A quick variant of a suite benchmark for integration testing.
@@ -135,5 +136,74 @@ fn watchdog_reports_progress() {
             assert!(detail.contains("CTAs dispatched"));
         }
         other => panic!("expected a budget watchdog error, got {other}"),
+    }
+}
+
+/// Every warp interleaves memory instructions that touch no line with
+/// ordinary ones. An empty load or store issues as a 1-cycle no-op: no
+/// access, no outstanding load, no panic, no wedged warp.
+struct EmptyMemoryKernel;
+
+impl gpumem_sim::KernelProgram for EmptyMemoryKernel {
+    fn name(&self) -> &str {
+        "empty-mem"
+    }
+    fn grid_ctas(&self) -> u32 {
+        8
+    }
+    fn warps_per_cta(&self) -> u32 {
+        4
+    }
+    fn instr(&self, cta: CtaId, warp: u32, pc: u32) -> Option<gpumem_sim::WarpInstr> {
+        use gpumem_sim::WarpInstr;
+        let line = LineAddr::new(u64::from(cta.index() as u32 * 4 + warp) * 3);
+        Some(match pc {
+            0 => WarpInstr::Load {
+                lines: vec![],
+                consume_after: 1,
+            },
+            1 => WarpInstr::Alu { latency: 4 },
+            2 => WarpInstr::Store { lines: vec![] },
+            3 => WarpInstr::load_line(line, 1),
+            4 => WarpInstr::Load {
+                lines: vec![],
+                consume_after: 1,
+            },
+            5 => WarpInstr::Store { lines: vec![line] },
+            6 => WarpInstr::Barrier,
+            7 => WarpInstr::Store { lines: vec![] },
+            _ => return None,
+        })
+    }
+}
+
+#[test]
+fn empty_memory_instructions_issue_as_noops() {
+    let program = Arc::new(EmptyMemoryKernel) as Arc<dyn gpumem_sim::KernelProgram>;
+    let warps = 8 * 4;
+    for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(200)] {
+        let run = |stepped: bool| {
+            let mut sim = GpuSimulator::new(small_gpu(), Arc::clone(&program), mode);
+            let mut report = if stepped {
+                sim.run_stepped(gpumem::DEFAULT_MAX_CYCLES)
+            } else {
+                sim.run(gpumem::DEFAULT_MAX_CYCLES)
+            }
+            .unwrap_or_else(|e| panic!("{mode}: {e}"));
+            report.host = None;
+            report
+        };
+        let (event, stepped) = (run(false), run(true));
+        assert_eq!(
+            serde_json::to_string(&event).unwrap(),
+            serde_json::to_string(&stepped).unwrap(),
+            "{mode}: run and run_stepped disagree"
+        );
+        assert_eq!(event.instructions, 8 * warps);
+        assert_eq!(event.core.load_instrs, 3 * warps);
+        assert_eq!(event.core.store_instrs, 3 * warps);
+        // Only the one-line load and the one-line store generate accesses.
+        assert_eq!(event.core.global_accesses, 2 * warps);
+        assert_eq!(event.core.ctas_retired, 8);
     }
 }
