@@ -2,9 +2,10 @@
 //! Bottlenecks in GPGPU Workloads* (IISWC 2016).
 //!
 //! ```text
-//! repro [--scale F] [--quick] [--json DIR] [--threads LIST] [--epoch N|auto]
-//!       [--check FILE] [--min-ratio R] [--floor R] [--profile] [--seeds N]
-//!       [--repeat N] [--wedge-self-test] [--suite seed|ml|extended]
+//! repro [--scale F] [--quick] [--json DIR] [--check FILE] [--min-ratio R]
+//!       [--floor R] [--profile] [--seeds N] [--repeat N] [--wedge-self-test]
+//!       [--spec FILE] [--store DIR] [--resume DIR] [--query DIR] [--workers N]
+//!       [--retries N] [--backoff-ms N] [--suite seed|ml|extended]
 //!       [--trace-file FILE]... [--out FILE]
 //!       [fig1|congestion|dse|table1|latency|ablation|perf|chaos|trace|run|
 //!        trace-gen|sweep|all] [WORKLOAD]...
@@ -17,16 +18,17 @@
 //! * `latency`    — Section II baseline-vs-ideal latency comparison
 //! * `ablation`   — Section V future work: per-row ablation + cost ranking
 //! * `perf`       — host throughput: the per-cycle stepped oracle vs the
-//!   event-driven engine behind `run()` vs sharded parallel stepping
-//!   (cycles/sec, skipped fraction, per-thread-count speedups). With
-//!   `--profile` instead runs the event-driven engine with host-time
-//!   instrumentation and prints per-component attribution (scheduler,
-//!   cores, L1, crossbars, partitions, DRAM).
+//!   event-driven engine behind `run()` (cycles/sec, skipped fraction,
+//!   event-vs-stepped speedup). With `--profile` instead runs the
+//!   event-driven engine with host-time instrumentation and prints
+//!   per-component attribution (scheduler, cores, L1, crossbars,
+//!   partitions, DRAM).
 //! * `chaos`      — deterministic fault-injection sweep: each seed expands
 //!   into a bit-identical fault schedule (crossbar port holds and
 //!   head-of-queue rotations, MSHR stalls, DRAM lockouts); every seed is
-//!   run twice serially and once per parallel thread count, and all runs
-//!   must agree bit-for-bit. `--seeds N` sets the sweep width (default 4);
+//!   run through `run_stepped()` and again through `run()` (which steps
+//!   every cycle while chaos is armed), and both runs must agree
+//!   bit-for-bit. `--seeds N` sets the sweep width (default 4);
 //!   `--wedge-self-test` instead wedges the response network on purpose
 //!   and requires the watchdog to fire within its horizon with a
 //!   structured diagnosis naming the blocked component chain.
@@ -34,15 +36,14 @@
 //!   runs the suite with tracing enabled, prints per-stage latency tables
 //!   and the queueing-vs-service split, requires the stage sums to
 //!   reconcile with the observed end-to-end latency, and cross-checks that
-//!   every engine (stepped, skipping, parallel at each `--threads` count)
-//!   produces a bit-identical breakdown. With `--json DIR` also exports
-//!   the slowest fetches as Chrome trace-event JSON
-//!   (`trace_<benchmark>.json`, loadable in `chrome://tracing`).
+//!   both engines (stepped and event-driven) produce a bit-identical
+//!   breakdown. With `--json DIR` also exports the slowest fetches as
+//!   Chrome trace-event JSON (`trace_<benchmark>.json`, loadable in
+//!   `chrome://tracing`).
 //! * `run`        — executes the named workloads (and/or `--trace-file`
-//!   traces) through all three engines — event-driven, per-cycle stepped,
-//!   and sharded parallel at each `--threads` count — and requires every
-//!   report to be bit-identical (full canonical JSON, host block
-//!   stripped). A malformed trace file is a diagnosed, non-zero exit
+//!   traces) through both engines — event-driven and per-cycle stepped —
+//!   and requires the reports to be bit-identical (full canonical JSON,
+//!   host block stripped). A malformed trace file is a diagnosed, non-zero exit
 //!   naming the offending line, never a panic.
 //! * `trace-gen`  — encodes one workload (any synthetic benchmark name,
 //!   `--scale` applied) as a portable `gpumem-trace v1` text file, written
@@ -66,25 +67,17 @@
 //! runs; the shipped EXPERIMENTS.md numbers use the full scale (1.0).
 //! `--quick` is shorthand for `--scale 0.25` (the CI smoke setting).
 //! `--json DIR` additionally dumps raw results as JSON.
-//! `--threads LIST` (perf only) sets the parallel thread counts swept,
-//! default `1,2,4`.
-//! `--epoch N|auto` (perf, chaos, trace) selects the parallel engine's
-//! epoch policy: `auto` (the default) lets the engine free-run shards
-//! through the largest provably-safe epoch each round, `N` caps epochs at
-//! `N` cycles, and `1` degenerates to the per-cycle barrier engine. Every
-//! policy is bit-identical to serial stepping; only host throughput
-//! changes. The chosen spelling is recorded in each parallel snapshot row.
-//! `--check FILE` (perf only) compares the measured speedups against a
-//! committed baseline (e.g. `BENCH_PARALLEL.json`) and exits non-zero if
-//! any engine's per-mode geomean speedup regressed below `--min-ratio`
-//! times the baseline's (default 0.8, i.e. a 20% tolerance; CI's trace
+//! `--check FILE` (perf only) compares the measured event-vs-stepped
+//! speedups against a committed baseline (e.g. `BENCH_ENGINES.json`) and
+//! exits non-zero if a per-mode geomean speedup regressed below
+//! `--min-ratio` times the baseline's (default 0.8, i.e. a 20% tolerance; CI's trace
 //! overhead gate uses 0.98). Speedups — not absolute cycles/sec — are
 //! compared, so a baseline recorded on one host remains meaningful on
 //! another.
 //! `--floor R` (perf only) is an absolute per-benchmark gate on the
 //! event-driven engine: exits non-zero if any single benchmark's
-//! event-vs-stepped speedup falls below R. CI runs `--floor 1.0` — the
-//! event engine must never be slower than the oracle it replaces, on any
+//! event-vs-stepped speedup falls below R. CI runs `--floor 0.9`: the
+//! event engine must stay within timing noise of the oracle on every
 //! workload, not just in geomean.
 //! `--repeat N` (perf only) runs each engine N times per benchmark and
 //! keeps the fastest wall. Single-shot timings on a busy or single-CPU
@@ -114,33 +107,9 @@ use gpumem::text;
 use gpumem_sim::{chrome_trace_events, ChaosConfig, LatencyBreakdown, SimError, TraceConfig};
 use gpumem_simt::KernelProgram;
 
-/// The `--epoch` flag: the policy handed to the parallel engine plus the
-/// exact spelling the user gave, recorded verbatim in snapshot rows so a
-/// committed baseline names the engine configuration that produced it.
-#[derive(Clone)]
-struct EpochChoice {
-    spelling: String,
-    policy: EpochPolicy,
-}
-
-impl EpochChoice {
-    fn parse(spec: &str) -> Option<EpochChoice> {
-        let policy = match spec {
-            "auto" => EpochPolicy::Auto,
-            n => EpochPolicy::Fixed(n.parse().ok().filter(|&n| n > 0)?),
-        };
-        Some(EpochChoice {
-            spelling: spec.to_owned(),
-            policy,
-        })
-    }
-}
-
 struct Args {
     scale: f64,
     json_dir: Option<String>,
-    threads: Vec<usize>,
-    epoch: EpochChoice,
     check: Option<String>,
     min_ratio: f64,
     floor: Option<f64>,
@@ -165,8 +134,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut scale = 1.0;
     let mut json_dir = None;
-    let mut threads = vec![1, 2, 4];
-    let mut epoch = EpochChoice::parse("auto").expect("default epoch spec is valid");
     let mut check = None;
     let mut min_ratio = 0.8;
     let mut floor = None;
@@ -199,31 +166,6 @@ fn parse_args() -> Args {
             "--quick" => scale = 0.25,
             "--json" => {
                 json_dir = Some(it.next().unwrap_or_else(|| die("--json needs a directory")));
-            }
-            "--threads" => {
-                let list = it
-                    .next()
-                    .unwrap_or_else(|| die("--threads needs a comma-separated list"));
-                threads = list
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| die(&format!("bad thread count {t:?}")))
-                    })
-                    .collect();
-                if threads.is_empty() {
-                    die("--threads needs at least one count");
-                }
-            }
-            "--epoch" => {
-                let spec = it
-                    .next()
-                    .unwrap_or_else(|| die("--epoch needs `auto` or a positive cycle count"));
-                epoch = EpochChoice::parse(&spec)
-                    .unwrap_or_else(|| die(&format!("bad --epoch spec {spec:?}")));
             }
             "--check" => {
                 check = Some(it.next().unwrap_or_else(|| die("--check needs a file")));
@@ -331,8 +273,6 @@ fn parse_args() -> Args {
     Args {
         scale,
         json_dir,
-        threads,
-        epoch,
         check,
         min_ratio,
         floor,
@@ -358,7 +298,7 @@ fn parse_args() -> Args {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro [--scale F] [--quick] [--json DIR] [--threads LIST] [--epoch N|auto] \
+        "usage: repro [--scale F] [--quick] [--json DIR] \
          [--check FILE] [--min-ratio R] [--floor R] [--profile] [--seeds N] [--repeat N] \
          [--wedge-self-test] [--spec FILE] [--store DIR] [--resume DIR] [--query DIR] \
          [--workers N] [--retries N] [--backoff-ms N] [--suite seed|ml|extended] \
@@ -468,31 +408,9 @@ fn run_latency(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Opti
     dump_json(json, "latency", &study);
 }
 
-/// One parallel measurement inside a [`PerfRow`].
-#[derive(serde::Serialize, serde::Deserialize)]
-struct ParallelPoint {
-    threads: u64,
-    /// The `--epoch` spelling this point was measured under (`"auto"`,
-    /// `"1"`, …). Pre-epoch baselines deserialize to `None`, which the
-    /// `--check` gate treats as comparable to any current policy (they
-    /// measured the per-cycle engine, the degeneracy every policy must
-    /// beat or match).
-    epoch: Option<String>,
-    /// Epoch rounds the engine actually ran (0 under the per-cycle
-    /// degeneracy) and the largest epoch it committed, from
-    /// [`SimReport::host`]; recorded so a snapshot shows how much
-    /// barrier elision the policy really bought on this workload.
-    epoch_rounds: Option<u64>,
-    max_epoch: Option<u64>,
-    wall_s: f64,
-    mcyc_per_s: f64,
-    /// Wall-clock speedup over the per-cycle stepped reference run.
-    speedup: f64,
-}
-
 /// One row of the `perf` command: the same run executed strictly
-/// per-cycle, with event-horizon skipping, and sharded across each
-/// requested thread count.
+/// per-cycle and on the event-driven engine. The `skipping_*` fields hold
+/// the event engine's numbers; the names match the committed baselines.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct PerfRow {
     benchmark: String,
@@ -504,14 +422,12 @@ struct PerfRow {
     stepped_mcyc_per_s: f64,
     skipping_mcyc_per_s: f64,
     skipped_fraction: f64,
-    parallel: Vec<ParallelPoint>,
 }
 
-/// The `perf` command's JSON artifact (committed as `BENCH_PARALLEL.json`).
+/// The `perf` command's JSON artifact (committed as `BENCH_ENGINES.json`).
 ///
-/// `host_cpus` records how much hardware parallelism the recording host
-/// actually had: parallel speedups are meaningless without it, and a
-/// single-CPU container legitimately records slowdowns.
+/// `host_cpus` records the recording host's CPU count, so cross-host
+/// trajectories of the snapshot stay interpretable.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct PerfSummary {
     host_cpus: u64,
@@ -541,8 +457,6 @@ fn perf_row(
     cfg: &GpuConfig,
     program: &Arc<dyn KernelProgram>,
     mode: MemoryMode,
-    threads: &[usize],
-    epoch: &EpochChoice,
     repeat: usize,
 ) -> PerfRow {
     let stepped = best_of(repeat, || {
@@ -550,45 +464,17 @@ fn perf_row(
             .run_stepped(gpumem::DEFAULT_MAX_CYCLES)
             .expect("stepped run completes")
     });
-    let skipping = best_of(repeat, || {
+    let event = best_of(repeat, || {
         GpuSimulator::new(cfg.clone(), Arc::clone(program), mode)
             .run(gpumem::DEFAULT_MAX_CYCLES)
-            .expect("skipping run completes")
+            .expect("event run completes")
     });
     let hs = stepped.host.as_ref().expect("run fills host perf");
-    let hk = skipping.host.as_ref().expect("run fills host perf");
+    let hk = event.host.as_ref().expect("run fills host perf");
     assert_eq!(
-        stepped.cycles, skipping.cycles,
-        "skipping must be observationally invisible"
+        stepped.cycles, event.cycles,
+        "the event engine must be observationally invisible"
     );
-    let parallel = threads
-        .iter()
-        .map(|&n| {
-            let report = best_of(repeat, || {
-                GpuSimulator::new(cfg.clone(), Arc::clone(program), mode)
-                    .run_parallel_with(gpumem::DEFAULT_MAX_CYCLES, n, epoch.policy)
-                    .expect("parallel run completes")
-            });
-            assert_eq!(
-                stepped.cycles, report.cycles,
-                "parallel stepping must be observationally invisible"
-            );
-            let hp = report.host.as_ref().expect("run fills host perf");
-            ParallelPoint {
-                threads: n as u64,
-                epoch: Some(epoch.spelling.clone()),
-                epoch_rounds: hp.epoch_rounds,
-                max_epoch: hp.max_epoch,
-                wall_s: hp.wall_seconds,
-                mcyc_per_s: hp.cycles_per_sec / 1e6,
-                speedup: if hp.wall_seconds > 0.0 {
-                    hs.wall_seconds / hp.wall_seconds
-                } else {
-                    1.0
-                },
-            }
-        })
-        .collect();
     PerfRow {
         benchmark: stepped.benchmark.clone(),
         mode: stepped.mode.clone(),
@@ -603,7 +489,6 @@ fn perf_row(
         stepped_mcyc_per_s: hs.cycles_per_sec / 1e6,
         skipping_mcyc_per_s: hk.cycles_per_sec / 1e6,
         skipped_fraction: hk.skipped_fraction,
-        parallel,
     }
 }
 
@@ -617,29 +502,22 @@ fn run_perf(
     programs: &[Arc<dyn KernelProgram>],
     scale: f64,
     json: &Option<String>,
-    threads: &[usize],
-    epoch: &EpochChoice,
     repeat: usize,
 ) -> PerfSummary {
     let mut rows = Vec::new();
     for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
         for program in programs {
             eprintln!("perf: {} / {mode} ...", program.name());
-            rows.push(perf_row(cfg, program, mode, threads, epoch, repeat));
+            rows.push(perf_row(cfg, program, mode, repeat));
         }
     }
-    println!("HOST THROUGHPUT — STEPPING vs SKIPPING vs SHARDED PARALLEL");
-    println!("(parallel engine epoch policy: {})", epoch.spelling);
-    print!(
+    println!("HOST THROUGHPUT — STEPPED ORACLE vs EVENT-DRIVEN ENGINE");
+    println!(
         "{:>10} {:>18} {:>12} {:>11} {:>11} {:>9} {:>9}",
-        "benchmark", "mode", "cycles", "step Mc/s", "skip Mc/s", "skipped", "speedup"
+        "benchmark", "mode", "cycles", "step Mc/s", "event Mc/s", "skipped", "speedup"
     );
-    for n in threads {
-        print!(" {:>8}", format!("par×{n}"));
-    }
-    println!();
     for r in &rows {
-        print!(
+        println!(
             "{:>10} {:>18} {:>12} {:>11.2} {:>11.2} {:>8.1}% {:>8.2}x",
             r.benchmark,
             r.mode,
@@ -649,10 +527,6 @@ fn run_perf(
             100.0 * r.skipped_fraction,
             r.speedup
         );
-        for p in &r.parallel {
-            print!(" {:>7.2}x", p.speedup);
-        }
-        println!();
     }
     for (label, filter) in [
         ("hierarchy", "hierarchy"),
@@ -660,12 +534,7 @@ fn run_perf(
     ] {
         let in_mode = || rows.iter().filter(|r| r.mode.starts_with(filter));
         if let Some(g) = geomean(in_mode().map(|r| r.speedup)) {
-            println!("{label} geomean skipping speedup: {g:.2}x");
-        }
-        for (i, n) in threads.iter().enumerate() {
-            if let Some(g) = geomean(in_mode().map(|r| r.parallel[i].speedup)) {
-                println!("{label} geomean parallel speedup at {n} threads: {g:.2}x");
-            }
+            println!("{label} geomean event speedup: {g:.2}x");
         }
     }
     let summary = PerfSummary {
@@ -874,8 +743,8 @@ fn pair_rows<'a>(cur: impl Iterator<Item = (&'a str, f64)>, base: &[(&str, f64)]
     .collect()
 }
 
-/// Compares the freshly measured speedups against a committed baseline.
-/// Exits non-zero if any engine's per-mode geomean speedup fell below
+/// Compares the freshly measured event-vs-stepped speedups against a
+/// committed baseline. Exits non-zero if a per-mode geomean speedup fell below
 /// `min_ratio` times the baseline's. Ratios of speedups — not absolute
 /// throughput — are compared, so the gate is portable across hosts; a
 /// faster host can only pass more easily, never spuriously fail. On gate
@@ -909,7 +778,7 @@ fn check_perf(current: &PerfSummary, baseline_path: &str, min_ratio: f64) {
             .map(|r| (r.benchmark.as_str(), r.speedup))
             .collect();
         gate(
-            &format!("{filter} skipping"),
+            &format!("{filter} event"),
             &pair_rows(
                 cur_mode().map(|r| (r.benchmark.as_str(), r.speedup)),
                 &base_skip,
@@ -917,52 +786,6 @@ fn check_perf(current: &PerfSummary, baseline_path: &str, min_ratio: f64) {
             min_ratio,
             &mut failed,
         );
-        // Match parallel points by (thread count, epoch policy): the
-        // current sweep may be narrower than the baseline's (CI runs a
-        // single count). A pre-epoch baseline point (`epoch: None`) is
-        // comparable to any current policy — it measured the per-cycle
-        // engine, the degeneracy every policy must beat or match.
-        let counts: Vec<(u64, String)> = cur_mode()
-            .flat_map(|r| {
-                r.parallel
-                    .iter()
-                    .map(|p| (p.threads, p.epoch.clone().unwrap_or_default()))
-            })
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        for (n, epoch) in counts {
-            let at =
-                |rows: &mut dyn Iterator<Item = &PerfRow>, exact: bool| -> Vec<(String, f64)> {
-                    rows.filter_map(|r| {
-                        r.parallel
-                            .iter()
-                            .find(|p| {
-                                p.threads == n
-                                    && match &p.epoch {
-                                        Some(e) => *e == epoch,
-                                        None => !exact,
-                                    }
-                            })
-                            .map(|p| (r.benchmark.clone(), p.speedup))
-                    })
-                    .collect()
-                };
-            let cur_at = at(&mut cur_mode(), true);
-            let base_at = at(&mut base_mode(), false);
-            if base_at.is_empty() {
-                println!("check {filter} parallel×{n} epoch {epoch}: no baseline, skipped");
-                continue;
-            }
-            let base_refs: Vec<(&str, f64)> =
-                base_at.iter().map(|(b, v)| (b.as_str(), *v)).collect();
-            gate(
-                &format!("{filter} parallel×{n} epoch {epoch}"),
-                &pair_rows(cur_at.iter().map(|(b, v)| (b.as_str(), *v)), &base_refs),
-                min_ratio,
-                &mut failed,
-            );
-        }
     }
     if failed {
         eprintln!(
@@ -989,19 +812,22 @@ fn chaos_kernel(scale: f64) -> Arc<dyn KernelProgram> {
     Arc::new(gpumem_workloads::SyntheticKernel::new(p))
 }
 
+/// One chaos run under the watchdog, through `run()` or `run_stepped()`.
+/// Both entry points step every cycle while chaos is armed, so their
+/// outcomes must agree bit for bit.
 fn chaos_run(
     cfg: &GpuConfig,
     program: &Arc<dyn KernelProgram>,
     chaos: ChaosConfig,
-    parallel_threads: Option<usize>,
-    policy: EpochPolicy,
+    stepped: bool,
 ) -> Result<SimReport, SimError> {
     let mut sim = GpuSimulator::new(cfg.clone(), Arc::clone(program), MemoryMode::Hierarchy);
     sim.set_chaos(chaos);
     sim.set_watchdog(Some(CHAOS_HORIZON));
-    match parallel_threads {
-        Some(n) => sim.run_parallel_with(gpumem::DEFAULT_MAX_CYCLES, n, policy),
-        None => sim.run_stepped(gpumem::DEFAULT_MAX_CYCLES),
+    if stepped {
+        sim.run_stepped(gpumem::DEFAULT_MAX_CYCLES)
+    } else {
+        sim.run(gpumem::DEFAULT_MAX_CYCLES)
     }
 }
 
@@ -1020,31 +846,22 @@ fn chaos_canonical(outcome: &Result<SimReport, SimError>) -> String {
 }
 
 /// Seeded chaos sweep: every seed's fault schedule must be bit-identical
-/// across a serial replay and every parallel thread count, whether the
-/// outcome is a completed report or a typed error.
-fn run_chaos(cfg: &GpuConfig, scale: f64, seeds: u64, threads: &[usize], epoch: &EpochChoice) {
+/// across a `run_stepped()` run and a `run()` replay, whether the outcome
+/// is a completed report or a typed error.
+fn run_chaos(cfg: &GpuConfig, scale: f64, seeds: u64) {
     let program = chaos_kernel(scale);
     println!(
-        "CHAOS SWEEP — {seeds} seed(s), standard fault mix, benchmark {}, epoch {}",
+        "CHAOS SWEEP — {seeds} seed(s), standard fault mix, benchmark {}",
         program.name(),
-        epoch.spelling
     );
     let mut failed = false;
     for seed in 0..seeds {
         let chaos = ChaosConfig::standard(seed);
-        let first = chaos_run(cfg, &program, chaos, None, epoch.policy);
-        let reference = chaos_canonical(&first);
-        let mut ok = true;
-        if chaos_canonical(&chaos_run(cfg, &program, chaos, None, epoch.policy)) != reference {
-            println!("seed {seed}: serial replay diverged from the first run");
-            ok = false;
-        }
-        for &n in threads {
-            if chaos_canonical(&chaos_run(cfg, &program, chaos, Some(n), epoch.policy)) != reference
-            {
-                println!("seed {seed}: {n}-thread run diverged from the serial reference");
-                ok = false;
-            }
+        let first = chaos_run(cfg, &program, chaos, true);
+        let ok =
+            chaos_canonical(&chaos_run(cfg, &program, chaos, false)) == chaos_canonical(&first);
+        if !ok {
+            println!("seed {seed}: the run() replay diverged from the stepped run");
         }
         let label = match &first {
             Ok(r) => format!(
@@ -1063,26 +880,20 @@ fn run_chaos(cfg: &GpuConfig, scale: f64, seeds: u64, threads: &[usize], epoch: 
         eprintln!("error: chaos schedules were not engine-independent");
         std::process::exit(1);
     }
-    println!("chaos sweep: all {seeds} seed(s) bit-identical across engines and thread counts");
+    println!("chaos sweep: all {seeds} seed(s) bit-identical across entry points");
 }
 
 /// Watchdog self-test: wedge the response network on purpose at a seeded
-/// cycle and require every engine to report [`SimError::Wedged`] within
-/// the horizon, with a diagnosis naming the blocked component chain.
-fn run_wedge_self_test(
-    cfg: &GpuConfig,
-    scale: f64,
-    seeds: u64,
-    threads: &[usize],
-    epoch: &EpochChoice,
-) {
+/// cycle and require both entry points to report [`SimError::Wedged`]
+/// within the horizon, with a diagnosis naming the blocked component chain.
+fn run_wedge_self_test(cfg: &GpuConfig, scale: f64, seeds: u64) {
     let program = chaos_kernel(scale);
     println!("WATCHDOG SELF-TEST — {seeds} seeded wedge fixture(s)");
     for seed in 0..seeds {
         let mut chaos = ChaosConfig::standard(seed);
         let wedge_at = 500 + 97 * seed;
         chaos.wedge_at = Some(wedge_at);
-        let diagnosis = match chaos_run(cfg, &program, chaos, None, epoch.policy) {
+        let diagnosis = match chaos_run(cfg, &program, chaos, true) {
             Err(SimError::Wedged { diagnosis }) => diagnosis,
             Err(other) => {
                 eprintln!("error: seed {seed}: expected a wedge diagnosis, got: {other}");
@@ -1108,15 +919,11 @@ fn run_wedge_self_test(
             eprintln!("error: seed {seed}: diagnosis names no blocked components: {diagnosis:?}");
             std::process::exit(1);
         }
-        // The parallel engine restores the machine before diagnosing, so
-        // it must reach the exact same diagnosis.
-        for &n in threads {
-            match chaos_run(cfg, &program, chaos, Some(n), epoch.policy) {
-                Err(SimError::Wedged { diagnosis: par }) if par == diagnosis => {}
-                other => {
-                    eprintln!("error: seed {seed}: {n}-thread wedge diagnosis diverged: {other:?}");
-                    std::process::exit(1);
-                }
+        match chaos_run(cfg, &program, chaos, false) {
+            Err(SimError::Wedged { diagnosis: again }) if again == diagnosis => {}
+            other => {
+                eprintln!("error: seed {seed}: run() wedge diagnosis diverged: {other:?}");
+                std::process::exit(1);
             }
         }
         println!(
@@ -1181,14 +988,8 @@ fn print_breakdown(name: &str, bd: &LatencyBreakdown) {
 
 /// Fetch-lifecycle latency breakdown over the suite: per-stage tables, the
 /// §III queueing-vs-service split, the stage-sum reconciliation invariant,
-/// and a bit-identity cross-check over all three engines.
-fn run_trace(
-    cfg: &GpuConfig,
-    programs: &[Arc<dyn KernelProgram>],
-    json: &Option<String>,
-    threads: &[usize],
-    epoch: &EpochChoice,
-) {
+/// and a bit-identity cross-check over both engines.
+fn run_trace(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option<String>) {
     println!("FETCH-LIFECYCLE LATENCY BREAKDOWN — §III queueing vs service decomposition");
     let mut rows = Vec::new();
     for program in programs {
@@ -1202,22 +1003,10 @@ fn run_trace(
             .expect("traced stepped run completes");
         if trace_canonical(&stepped) != reference {
             eprintln!(
-                "error: {}: stepped-engine trace diverged from the skipping engine",
+                "error: {}: stepped-engine trace diverged from the event engine",
                 program.name()
             );
             std::process::exit(1);
-        }
-        for &n in threads {
-            let parallel = traced_sim(cfg, program)
-                .run_parallel_with(gpumem::DEFAULT_MAX_CYCLES, n, epoch.policy)
-                .expect("traced parallel run completes");
-            if trace_canonical(&parallel) != reference {
-                eprintln!(
-                    "error: {}: {n}-thread trace diverged from the serial reference",
-                    program.name()
-                );
-                std::process::exit(1);
-            }
         }
         let bd = report
             .latency_breakdown
@@ -1248,17 +1037,14 @@ fn run_trace(
             breakdown: bd,
         });
     }
-    println!(
-        "\ntrace: every stage sum reconciles; all engines bit-identical at threads {:?}",
-        threads
-    );
+    println!("\ntrace: every stage sum reconciles; both engines bit-identical");
     dump_json(json, "trace", &rows);
 }
 
 /// The `run` command: every selected workload — named synthetics and/or
-/// `--trace-file` traces — executed through the event-driven, per-cycle
-/// stepped and sharded parallel engines, with every report required to be
-/// bit-identical to the stepped oracle (full canonical JSON, host block
+/// `--trace-file` traces — executed through the event-driven engine and
+/// the per-cycle stepped oracle, with the reports required to be
+/// bit-identical (full canonical JSON, host block
 /// stripped). This is the deterministic-replay gate the trace frontend
 /// promises: a trace admits no engine-dependent behaviour.
 fn run_run(cfg: &GpuConfig, args: &Args) -> ! {
@@ -1274,10 +1060,7 @@ fn run_run(cfg: &GpuConfig, args: &Args) -> ! {
     if programs.is_empty() {
         die("run needs at least one workload name or --trace-file FILE");
     }
-    println!(
-        "CROSS-ENGINE BIT-IDENTITY — stepped oracle vs event vs parallel at threads {:?}",
-        args.threads
-    );
+    println!("CROSS-ENGINE BIT-IDENTITY — stepped oracle vs event engine");
     let mut failed = false;
     for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
         for program in &programs {
@@ -1294,19 +1077,6 @@ fn run_run(cfg: &GpuConfig, args: &Args) -> ! {
                     program.name()
                 );
                 failed = true;
-            }
-            for &n in &args.threads {
-                let parallel = GpuSimulator::new(cfg.clone(), Arc::clone(program), mode)
-                    .run_parallel_with(gpumem::DEFAULT_MAX_CYCLES, n, args.epoch.policy)
-                    .expect("parallel run completes");
-                if trace_canonical(&parallel) != reference {
-                    eprintln!(
-                        "error: {} / {mode}: {n}-thread parallel run diverged from the \
-                         stepped oracle",
-                        program.name()
-                    );
-                    failed = true;
-                }
             }
             println!(
                 "run {:>10} / {mode}: {} cycles, {} instructions — engines bit-identical",
@@ -1506,15 +1276,7 @@ fn main() {
             if args.profile {
                 run_profile(&cfg, &programs, &args.json_dir);
             } else {
-                let summary = run_perf(
-                    &cfg,
-                    &programs,
-                    args.scale,
-                    &args.json_dir,
-                    &args.threads,
-                    &args.epoch,
-                    args.repeat,
-                );
+                let summary = run_perf(&cfg, &programs, args.scale, &args.json_dir, args.repeat);
                 if let Some(baseline) = &args.check {
                     check_perf(&summary, baseline, args.min_ratio);
                 }
@@ -1523,22 +1285,16 @@ fn main() {
                 }
             }
         }
-        "trace" => run_trace(
-            &cfg,
-            &programs_for(&args),
-            &args.json_dir,
-            &args.threads,
-            &args.epoch,
-        ),
+        "trace" => run_trace(&cfg, &programs_for(&args), &args.json_dir),
         "run" => run_run(&cfg, &args),
         "trace-gen" => run_trace_gen(&cfg, &args),
         "sweep" => run_sweep_cmd(&args),
         "latency" => run_latency(&cfg, &programs_for(&args), &args.json_dir),
         "chaos" => {
             if args.wedge_self_test {
-                run_wedge_self_test(&cfg, args.scale, args.seeds, &args.threads, &args.epoch);
+                run_wedge_self_test(&cfg, args.scale, args.seeds);
             } else {
-                run_chaos(&cfg, args.scale, args.seeds, &args.threads, &args.epoch);
+                run_chaos(&cfg, args.scale, args.seeds);
             }
         }
         "all" => {

@@ -70,6 +70,75 @@ fn sweep_with_unknown_workload_spec_is_typed_exit_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A one-cell sweep spec over `engines`, as JSON.
+fn one_cell_spec(engines: &str) -> String {
+    format!(
+        r#"{{"name":"one","scale":0.05,"workloads":["nw"],"design_points":["baseline"],
+           "seeds":[0],"modes":["fixed:200"],"engines":[{engines}],"max_cycles":1000000,
+           "deadline_seconds":null}}"#
+    )
+}
+
+fn assert_names_the_retired_engine(out: &Output) {
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(out));
+    let err = stderr_of(out);
+    assert!(
+        err.contains("parallel:2:auto") && err.contains("`event` or `stepped`"),
+        "diagnostic must name the engine and the allowed spellings, got: {err}"
+    );
+}
+
+#[test]
+fn sweep_spec_naming_a_retired_engine_is_typed_exit_2() {
+    let dir = scratch("retired-engine");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, one_cell_spec(r#""parallel:2:auto""#)).unwrap();
+    let store = dir.join("store");
+    let out = repro(&[
+        "sweep",
+        "--store",
+        store.to_str().unwrap(),
+        "--spec",
+        spec.to_str().unwrap(),
+    ]);
+    assert_names_the_retired_engine(&out);
+    assert!(!store.exists(), "a rejected spec must not mint a store");
+
+    // A store whose recorded spec names the retired engine fails the same
+    // way on `--resume`.
+    std::fs::write(&spec, one_cell_spec(r#""event""#)).unwrap();
+    let out = repro(&[
+        "sweep",
+        "--store",
+        store.to_str().unwrap(),
+        "--spec",
+        spec.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    std::fs::write(
+        store.join("spec.json"),
+        one_cell_spec(r#""parallel:2:auto""#),
+    )
+    .unwrap();
+    let out = repro(&["sweep", "--resume", store.to_str().unwrap()]);
+    assert_names_the_retired_engine(&out);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn retired_engine_flags_are_unknown_arguments() {
+    for args in [["perf", "--threads", "2"], ["chaos", "--epoch", "auto"]] {
+        let out = repro(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
+        assert!(
+            stderr_of(&out).contains(&format!("unknown argument: {}", args[1])),
+            "{args:?}: {}",
+            stderr_of(&out)
+        );
+    }
+}
+
 #[test]
 fn malformed_trace_is_a_line_numbered_exit_2() {
     let dir = scratch("bad-trace");
@@ -115,7 +184,7 @@ fn trace_gen_round_trips_through_run_bit_identically() {
     assert!(text.starts_with("gpumem-trace v1\n"));
 
     // The traced replay and the synthetic original run side by side
-    // through all three engines; `run` exits non-zero on any divergence.
+    // through both engines; `run` exits non-zero on any divergence.
     let out = repro(&[
         "run",
         "gemm",
@@ -123,8 +192,6 @@ fn trace_gen_round_trips_through_run_bit_identically() {
         "0.05",
         "--trace-file",
         trace.to_str().unwrap(),
-        "--threads",
-        "2",
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();

@@ -2,12 +2,12 @@
 //!
 //! A [`ChaosConfig`] describes a seeded schedule of transient faults —
 //! crossbar port holds, in-queue reorderings, MSHR stalls, DRAM bank
-//! lockouts — plus two *guaranteed* faults for self-tests: a permanent
-//! wedge of the response network and an injected worker panic. The
-//! [`ChaosEngine`] expands the config into per-cycle fault events using
-//! forked [`SimRng`] streams, so the same seed always produces a
-//! bit-identical injection schedule regardless of engine (serial,
-//! event-horizon, sharded parallel) or thread count.
+//! lockouts — plus one *guaranteed* fault for self-tests: a permanent
+//! wedge of the response network. The [`ChaosEngine`] expands the config
+//! into per-cycle fault events using forked [`SimRng`] streams, so the same
+//! seed always produces a bit-identical injection schedule. A run with
+//! chaos armed always executes on the stepped loop, whichever entry point
+//! started it, so every injection cycle is really simulated.
 //!
 //! Faults model *slow* hardware, never *wrong* hardware: every injected
 //! condition is one the timing model can already express (a port that
@@ -46,9 +46,6 @@ pub struct ChaosConfig {
     /// Permanently wedge the response network at this cycle (watchdog
     /// self-test fixture; the run can then only end via the watchdog).
     pub wedge_at: Option<u64>,
-    /// Inject a worker panic at this cycle in the parallel engine
-    /// (graceful-degradation fixture; ignored by the serial engines).
-    pub worker_panic_at: Option<u64>,
 }
 
 impl ChaosConfig {
@@ -64,7 +61,6 @@ impl ChaosConfig {
             dram_lockout_interval: 0,
             dram_lockout_duration: 0,
             wedge_at: None,
-            worker_panic_at: None,
         }
     }
 
@@ -82,7 +78,6 @@ impl ChaosConfig {
             dram_lockout_interval: 223,
             dram_lockout_duration: 64,
             wedge_at: None,
-            worker_panic_at: None,
         }
     }
 
@@ -93,7 +88,6 @@ impl ChaosConfig {
             || self.mshr_stall_interval > 0
             || self.dram_lockout_interval > 0
             || self.wedge_at.is_some()
-            || self.worker_panic_at.is_some()
     }
 }
 
@@ -141,10 +135,9 @@ fn gap(rng: &mut SimRng, interval: u64) -> u64 {
 
 /// Expands a [`ChaosConfig`] into concrete per-cycle fault applications.
 ///
-/// Both engines call [`apply`](ChaosEngine::apply) exactly once per cycle
-/// at the cycle start, handing over the machine's chaos touch-points in
-/// global port/partition order — which is what makes the schedule
-/// engine-independent and bit-identical across thread counts.
+/// The stepped loop calls [`apply`](ChaosEngine::apply) exactly once per
+/// cycle at the cycle start, handing over the machine's chaos touch-points
+/// in global port/partition order.
 #[derive(Debug, Clone)]
 pub(crate) struct ChaosEngine {
     config: ChaosConfig,
@@ -172,44 +165,15 @@ impl ChaosEngine {
         }
     }
 
-    /// The cycle at which a worker panic is to be injected, if any.
-    pub(crate) fn worker_panic_at(&self) -> Option<u64> {
-        self.config.worker_panic_at
-    }
-
-    /// The earliest cycle at which this engine can next mutate machine
-    /// state: the minimum over every enabled event stream's next fire
-    /// time and the wedge fixture (if not yet applied). `u64::MAX` when
-    /// nothing is pending. After `apply(now, ..)` every stream's next
-    /// fire is strictly past `now`, so the epoch engine can free-run
-    /// through `[now + 1, next_chaos_fire())` without missing a fault.
-    /// The worker-panic fixture is deliberately excluded — it belongs to
-    /// the parallel harness, not the machine, and the harness clamps on
-    /// it separately.
-    pub(crate) fn next_chaos_fire(&self) -> u64 {
-        let mut next = self
-            .port_delay
-            .next_at
-            .min(self.drop_reinject.next_at)
-            .min(self.mshr_stall.next_at)
-            .min(self.dram_lockout.next_at);
-        if !self.wedge_applied {
-            if let Some(w) = self.config.wedge_at {
-                next = next.min(w);
-            }
-        }
-        next
-    }
-
     /// Applies every fault due at `now`. `req_ins` / `resp_ins` are the
     /// ingress ports of the request and response crossbars and `parts` the
     /// memory partitions, each in global index order.
     pub(crate) fn apply(
         &mut self,
         now: Cycle,
-        req_ins: &mut [&mut IngressPort],
-        resp_ins: &mut [&mut IngressPort],
-        parts: &mut [&mut MemoryPartition],
+        req_ins: &mut [IngressPort],
+        resp_ins: &mut [IngressPort],
+        parts: &mut [MemoryPartition],
     ) {
         let t = now.raw();
         if let Some(w) = self.config.wedge_at {
@@ -259,30 +223,6 @@ impl ChaosEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn next_chaos_fire_tracks_streams_and_wedge() {
-        let quiet = ChaosEngine::new(ChaosConfig::disabled(0));
-        assert_eq!(quiet.next_chaos_fire(), u64::MAX);
-
-        let mut cfg = ChaosConfig::disabled(0);
-        cfg.wedge_at = Some(42);
-        let mut e = ChaosEngine::new(cfg);
-        assert_eq!(e.next_chaos_fire(), 42);
-        e.wedge_applied = true;
-        assert_eq!(e.next_chaos_fire(), u64::MAX);
-
-        let mut e = ChaosEngine::new(ChaosConfig::standard(7));
-        // Advancing every stream past `t` leaves the next fire strictly
-        // in the future — the invariant the epoch clamp relies on.
-        for t in 0..200 {
-            e.port_delay.fires(t);
-            e.drop_reinject.fires(t);
-            e.mshr_stall.fires(t);
-            e.dram_lockout.fires(t);
-            assert!(e.next_chaos_fire() > t);
-        }
-    }
 
     /// Drains the timing streams only (no machine handles needed) and
     /// records which cycles fired which kinds.

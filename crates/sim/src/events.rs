@@ -8,9 +8,9 @@
 //! order as `GpuSimulator::step`), and each component re-arms itself by
 //! posting its next wake-up when it finishes. Components that sleep
 //! through a window are caught up lazily with the same
-//! `fast_forward`/`observe_many` closed forms the whole-machine horizon
-//! jump uses, so the result is bit-identical to stepping — only the host
-//! work changes.
+//! `fast_forward`/`observe_many` closed forms that
+//! `GpuSimulator::fast_forward_to` uses, so the result is bit-identical to
+//! stepping — only the host work changes.
 //!
 //! # Why per-component laziness wins where whole-machine skipping cannot
 //!
@@ -474,15 +474,11 @@ pub(crate) fn run_event(
         },
         stepped_cycles: sim.stepped_cycles,
         skipped_cycles: sim.skipped_cycles,
-        epoch_rounds: None,
-        epoch_cycles: None,
-        max_epoch: None,
         skipped_fraction: if sim.now.raw() > 0 {
             sim.skipped_cycles as f64 / sim.now.raw() as f64
         } else {
             0.0
         },
-        threads: 1,
     });
     let profile = k.prof.take().map(|p| {
         let l1: f64 = sim.cores.iter().map(|c| c.host_l1_seconds()).sum();

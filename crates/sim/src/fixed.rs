@@ -72,11 +72,6 @@ impl FixedLatencyMemory {
         }
     }
 
-    /// The configured latency.
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
     /// Accepts a request (never refuses — bandwidth is unlimited). Stores
     /// are sunk; loads are scheduled to return at `now + latency`.
     pub fn submit(&mut self, fetch: MemFetch, now: Cycle) {
@@ -94,18 +89,10 @@ impl FixedLatencyMemory {
 
     /// Takes the next response due at or before `now`, if any.
     pub fn pop_due(&mut self, now: Cycle) -> Option<MemFetch> {
-        self.pop_due_at(now).map(|(_, fetch)| fetch)
-    }
-
-    /// Like [`pop_due`](FixedLatencyMemory::pop_due), but also returns
-    /// the cycle the response came due. The epoch engine pre-drains every
-    /// response due inside an epoch into per-core inboxes and needs the
-    /// due cycle to deliver each at its serial-equivalent local cycle.
-    pub fn pop_due_at(&mut self, now: Cycle) -> Option<(Cycle, MemFetch)> {
         if self.pending.peek().is_some_and(|d| d.at <= now) {
             let due = self.pending.pop()?;
             self.loads_served += 1;
-            Some((due.at, due.fetch))
+            Some(due.fetch)
         } else {
             None
         }

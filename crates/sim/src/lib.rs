@@ -57,7 +57,6 @@ mod chaos;
 mod events;
 mod fixed;
 mod gpu;
-mod parallel;
 mod partition;
 mod report;
 mod sched;
@@ -66,8 +65,7 @@ mod watchdog;
 pub use chaos::ChaosConfig;
 pub use events::EngineProfile;
 pub use fixed::FixedLatencyMemory;
-pub use gpu::{GpuSimulator, MemoryMode, SkipPolicy};
-pub use parallel::EpochPolicy;
+pub use gpu::{GpuSimulator, MemoryMode};
 pub use partition::{L2Stats, MemoryPartition, PartitionTrace};
 pub use report::{DramReport, HostPerf, L1Report, L2Report, NocReport, SimReport};
 pub use sched::TimingWheel;

@@ -282,9 +282,9 @@ impl MemoryPartition {
     /// port on the request crossbar (`req_ej`), pushes responses into its
     /// input port on the response crossbar (`resp_in`).
     ///
-    /// Taking the two ports rather than whole crossbars is what makes a
-    /// partition shardable: these are the only pieces of interconnect
-    /// state it touches, and both are exclusively its own.
+    /// Taking the two ports rather than whole crossbars keeps a partition
+    /// to the only pieces of interconnect state it touches, both
+    /// exclusively its own.
     ///
     /// # Errors
     ///

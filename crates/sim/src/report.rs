@@ -85,17 +85,6 @@ pub struct HostPerf {
     /// `skipped_cycles / cycles` — how much of the simulated time was
     /// provably inert and skipped.
     pub skipped_fraction: f64,
-    /// Worker threads the run used (1 for the serial engines).
-    pub threads: u64,
-    /// Synchronization rounds the epoch parallel engine ran (absent for
-    /// the serial engines; one round covers one epoch or one legacy
-    /// per-cycle step).
-    pub epoch_rounds: Option<u64>,
-    /// Cycles covered by multi-cycle epochs (free-run, two barriers per
-    /// epoch) as opposed to legacy per-cycle rounds.
-    pub epoch_cycles: Option<u64>,
-    /// Largest safe epoch length the engine computed during the run.
-    pub max_epoch: Option<u64>,
 }
 
 /// Everything measured in one simulation run.
@@ -127,9 +116,8 @@ pub struct SimReport {
     /// Host-side throughput of the run (absent for mid-run snapshots;
     /// excluded from determinism comparisons).
     pub host: Option<HostPerf>,
-    /// Set when the parallel engine lost a worker mid-run and finished the
-    /// simulation on the sequential engine. The simulated results are still
-    /// exact; this records that the run took the slow path and why.
+    /// Always `None`. Kept so the serialized report, and every result
+    /// digest taken over it, keeps its `"degraded":null` key.
     pub degraded: Option<gpumem_types::Degradation>,
     /// Per-stage fetch-lifecycle latency breakdown (present only when
     /// [`enable_trace`](crate::GpuSimulator::enable_trace) was called).
@@ -247,9 +235,8 @@ pub(crate) fn build_report(
 /// Merges every core's trace collector (in core index order), folds in the
 /// DRAM write-path histograms and collects the occupancy series (cores
 /// first, then partitions, each in index order). Index order is engine-
-/// invariant — the parallel engine reassembles its shards back into global
-/// order before reporting — so the breakdown is bit-identical across
-/// engines. Returns `None` when tracing was never enabled.
+/// invariant, so the breakdown is bit-identical across engines. Returns
+/// `None` when tracing was never enabled.
 fn build_breakdown(cores: &[SimtCore], partitions: &[MemoryPartition]) -> Option<LatencyBreakdown> {
     let mut merged: Option<TraceCollector> = None;
     for c in cores {
@@ -332,10 +319,6 @@ mod tests {
                 stepped_cycles: 6,
                 skipped_cycles: 4,
                 skipped_fraction: 0.4,
-                threads: 1,
-                epoch_rounds: Some(3),
-                epoch_cycles: Some(4),
-                max_epoch: Some(2),
             }),
             degraded: None,
             latency_breakdown: None,

@@ -5,7 +5,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use gpumem_config::{DesignPoint, GpuConfig};
-use gpumem_sim::{EpochPolicy, MemoryMode};
+use gpumem_sim::MemoryMode;
 use gpumem_types::{CellKey, SweepError};
 use gpumem_workloads::{params_of, WorkloadKind, BENCHMARK_NAMES};
 use serde::{Deserialize, Serialize};
@@ -18,7 +18,7 @@ const TRACE_PREFIX: &str = "trace:";
 
 /// Which engine executes a cell.
 ///
-/// Every engine is bit-identical on the simulated results (the
+/// Both engines are bit-identical on the simulated results (the
 /// differential suite proves it), but the engine is still part of the cell
 /// key: a campaign that sweeps engines is asking precisely whether that
 /// invariance holds, so its cells must not collide.
@@ -28,39 +28,16 @@ pub enum EngineChoice {
     Event,
     /// The per-cycle stepped oracle.
     Stepped,
-    /// Epoch-synchronized sharded execution.
-    Parallel {
-        /// Worker threads inside the simulation.
-        threads: usize,
-        /// Epoch policy (`auto`, or a fixed cycle cap).
-        epoch: EpochPolicy,
-    },
 }
 
 impl EngineChoice {
-    /// Parses the spec spelling: `event`, `stepped` or
-    /// `parallel:<threads>:<auto|N>`.
+    /// Parses the spec spelling: `event` or `stepped`.
     pub fn parse(spec: &str) -> Option<EngineChoice> {
         match spec {
-            "event" => return Some(EngineChoice::Event),
-            "stepped" => return Some(EngineChoice::Stepped),
-            _ => {}
+            "event" => Some(EngineChoice::Event),
+            "stepped" => Some(EngineChoice::Stepped),
+            _ => None,
         }
-        let rest = spec.strip_prefix("parallel:")?;
-        let (threads, epoch) = rest.split_once(':')?;
-        let threads: usize = threads.parse().ok().filter(|&n| n > 0)?;
-        let epoch = match epoch {
-            "auto" => EpochPolicy::Auto,
-            n => {
-                let n: u64 = n.parse().ok().filter(|&n| n > 0)?;
-                if n == 1 {
-                    EpochPolicy::PerCycle
-                } else {
-                    EpochPolicy::Fixed(n)
-                }
-            }
-        };
-        Some(EngineChoice::Parallel { threads, epoch })
     }
 
     /// The canonical spelling, used in cell keys and progress output.
@@ -68,14 +45,6 @@ impl EngineChoice {
         match self {
             EngineChoice::Event => "event".to_owned(),
             EngineChoice::Stepped => "stepped".to_owned(),
-            EngineChoice::Parallel { threads, epoch } => {
-                let e = match epoch {
-                    EpochPolicy::PerCycle => "1".to_owned(),
-                    EpochPolicy::Fixed(n) => n.to_string(),
-                    EpochPolicy::Auto => "auto".to_owned(),
-                };
-                format!("parallel:{threads}:{e}")
-            }
         }
     }
 }
@@ -231,9 +200,7 @@ impl SweepSpec {
         }
         for e in &self.engines {
             if EngineChoice::parse(e).is_none() {
-                return invalid(format!(
-                    "bad engine {e:?} (want `event`, `stepped` or `parallel:<threads>:<epoch>`)"
-                ));
+                return invalid(format!("bad engine {e:?} (want `event` or `stepped`)"));
             }
         }
         Ok(())
@@ -461,9 +428,18 @@ mod tests {
         let err = bad.validate().unwrap_err();
         assert!(err.to_string().contains("nope"));
 
-        let mut bad = tiny_spec();
-        bad.engines = vec!["parallel:0:auto".into()];
-        assert!(bad.validate().is_err());
+        // `parallel:<threads>:<epoch>` named a retired engine.
+        for engine in ["parallel:0:auto", "parallel:2:auto"] {
+            let mut bad = tiny_spec();
+            bad.engines = vec![engine.into()];
+            match bad.validate() {
+                Err(SweepError::SpecInvalid { detail }) => {
+                    assert!(detail.contains(engine), "{detail}");
+                    assert!(detail.contains("`event` or `stepped`"), "{detail}");
+                }
+                other => panic!("{engine}: expected SpecInvalid, got {other:?}"),
+            }
+        }
 
         let mut bad = tiny_spec();
         bad.modes = Vec::new();
@@ -472,18 +448,13 @@ mod tests {
 
     #[test]
     fn engine_spellings_round_trip() {
-        for s in ["event", "stepped", "parallel:4:auto", "parallel:2:16"] {
+        for s in ["event", "stepped"] {
             let e = EngineChoice::parse(s).unwrap();
             assert_eq!(e.canonical(), *s);
         }
-        assert_eq!(
-            EngineChoice::parse("parallel:2:1"),
-            Some(EngineChoice::Parallel {
-                threads: 2,
-                epoch: EpochPolicy::PerCycle
-            })
-        );
-        assert!(EngineChoice::parse("warp-drive").is_none());
+        for s in ["warp-drive", "parallel:4:auto", "parallel:2:16"] {
+            assert!(EngineChoice::parse(s).is_none(), "{s}");
+        }
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! ";
 //! let kernel = gpumem_tracefmt::parse_str(text).unwrap();
 //! assert_eq!(kernel.name(), "axpy");
-//! assert_eq!(kernel.warp_instr_count(gpumem_types::CtaId::new(0), 0), Some(2));
+//! let cta = gpumem_types::CtaId::new(0);
+//! assert!(kernel.instr(cta, 0, 1).is_some());
+//! assert!(kernel.instr(cta, 0, 2).is_none());
 //! ```
 
 #![forbid(unsafe_code)]

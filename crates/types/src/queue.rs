@@ -308,7 +308,7 @@ impl<T> SimQueue<T> {
     }
 
     /// Records `cycles` consecutive observations during which the queue's
-    /// contents are known not to change (used by event-horizon skipping to
+    /// contents are known not to change (used by the event engine to
     /// fast-forward idle stretches). Equivalent to calling
     /// [`observe`](SimQueue::observe) `cycles` times.
     pub fn observe_many(&mut self, cycles: u64) {

@@ -141,18 +141,6 @@ impl KernelProgram for SyntheticKernel {
         self.params.max_ctas_per_core
     }
 
-    fn warp_instr_count(&self, _cta: CtaId, _warp: u32) -> Option<u32> {
-        // Every warp runs the same loop: `instr` returns `Some` exactly
-        // for pc < iters * instrs_per_iter, so the count is exact — the
-        // soundness requirement the epoch engine's retirement bound
-        // places on this hint.
-        Some(
-            self.params
-                .iters
-                .saturating_mul(self.params.instrs_per_iter()),
-        )
-    }
-
     fn instr(&self, cta: CtaId, warp: u32, pc: u32) -> Option<WarpInstr> {
         let p = &self.params;
         let body = p.instrs_per_iter();
@@ -214,10 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn warp_instr_count_is_exact() {
+    fn stream_length_is_iters_times_loop_body() {
         let k = kernel();
         let cta = CtaId::new(1);
-        let total = k.warp_instr_count(cta, 1).unwrap();
+        let total = k.params.iters * k.params.instrs_per_iter();
         assert!(total > 0);
         for pc in 0..total {
             assert!(k.instr(cta, 1, pc).is_some(), "pc {pc} under-counted");

@@ -2,9 +2,9 @@
 //!
 //! Three guarantees back the latency-breakdown numbers:
 //!
-//! 1. **Merge insensitivity** — per-shard histograms combine to the same
-//!    result no matter how the shards are grouped or ordered, so the
-//!    parallel engine's reassembly cannot perturb the breakdown.
+//! 1. **Merge insensitivity** — per-core histograms combine to the same
+//!    result no matter how they are grouped or ordered, so the report's
+//!    merge cannot perturb the breakdown.
 //! 2. **Observational transparency** — enabling tracing must not change a
 //!    single bit of the rest of the [`SimReport`]; the instrument cannot
 //!    disturb the experiment.
