@@ -1200,9 +1200,9 @@ fn run_sweep_cmd(args: &Args) -> ! {
     };
     let opts = SweepOptions {
         workers: args.workers,
-        retry: gpumem::RetryPolicy {
+        retry: gpumem_sweep::RetryPolicy {
             max_attempts: args.retries,
-            backoff: gpumem::Backoff {
+            backoff: gpumem_sweep::Backoff {
                 base_ms: args.backoff_ms,
                 max_ms: args.backoff_ms.saturating_mul(16),
                 seed: 0xC0FFEE,

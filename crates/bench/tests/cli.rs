@@ -127,6 +127,44 @@ fn sweep_spec_naming_a_retired_engine_is_typed_exit_2() {
 }
 
 #[test]
+fn sweep_with_a_panicking_cell_fails_it_and_exits_1() {
+    // 64 warps per CTA exceed the GTX480's 48 warp slots: the trace cell
+    // panics on construction, and the synthetic cell must still commit.
+    let dir = scratch("wide-cta");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("wide.trace");
+    let mut text = String::from(
+        "gpumem-trace v1\nkernel name=wide grid=1 warps_per_cta=64 max_ctas_per_core=1 \
+         shmem_bytes=0 line_bytes=128\n",
+    );
+    for w in 0..64 {
+        text.push_str(&format!("warp cta=0 warp={w}\nALU lat=4\nend\n"));
+    }
+    std::fs::write(&trace, text).unwrap();
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, one_cell_spec(r#""event""#)).unwrap();
+    let store = dir.join("store");
+    let out = repro(&[
+        "sweep",
+        "--store",
+        store.to_str().unwrap(),
+        "--spec",
+        spec.to_str().unwrap(),
+        "--trace-file",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        stdout.contains("Failed (panicked: ") && stdout.contains("computed: 1"),
+        "the bad cell fails alone, got:\n{stdout}"
+    );
+    let journal = std::fs::read_to_string(store.join("journal.log")).unwrap();
+    assert!(journal.contains("\"Failed\"") && journal.contains("\"Done\""));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn retired_engine_flags_are_unknown_arguments() {
     for args in [["perf", "--threads", "2"], ["chaos", "--epoch", "auto"]] {
         let out = repro(&args);

@@ -11,10 +11,10 @@
 use std::sync::Arc;
 
 use gpumem_config::{single_parameter_ablations, GpuConfig};
-use gpumem_sim::{KernelProgram, MemoryMode, SimError};
+use gpumem_sim::{KernelProgram, SimError};
 use serde::{Deserialize, Serialize};
 
-use crate::run::{run_benchmarks_parallel, RunSpec};
+use super::speedups_over_baseline;
 
 /// The measured effect of scaling one Table I row in isolation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -81,43 +81,12 @@ pub fn ablation_study(
     programs: &[Arc<dyn KernelProgram>],
 ) -> Result<AblationStudy, SimError> {
     let ablations = single_parameter_ablations(cfg);
-    let mut specs: Vec<RunSpec> = Vec::with_capacity(programs.len() * (ablations.len() + 1));
-    for p in programs {
-        specs.push(RunSpec {
-            cfg: cfg.clone(),
-            program: Arc::clone(p),
-            mode: MemoryMode::Hierarchy,
-        });
-    }
-    for a in &ablations {
-        for p in programs {
-            specs.push(RunSpec {
-                cfg: a.config.clone(),
-                program: Arc::clone(p),
-                mode: MemoryMode::Hierarchy,
-            });
-        }
-    }
-    let reports = run_benchmarks_parallel(&specs)?;
-
-    let n = programs.len();
-    let baseline: Vec<(String, f64)> = reports[..n]
-        .iter()
-        .map(|r| (r.benchmark.clone(), r.ipc))
-        .collect();
-
+    let configs: Vec<GpuConfig> = ablations.iter().map(|a| a.config.clone()).collect();
+    let (_, speedups) = speedups_over_baseline(cfg, programs, &configs)?;
     let rows = ablations
         .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let chunk = &reports[n * (i + 1)..n * (i + 2)];
-            let speedups: Vec<(String, f64)> = chunk
-                .iter()
-                .zip(&baseline)
-                .map(|(r, (name, base))| {
-                    (name.clone(), if *base > 0.0 { r.ipc / base } else { 1.0 })
-                })
-                .collect();
+        .zip(speedups)
+        .map(|(a, speedups)| {
             let avg = if speedups.is_empty() {
                 1.0
             } else {

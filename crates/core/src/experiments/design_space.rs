@@ -11,11 +11,11 @@
 use std::sync::Arc;
 
 use gpumem_config::{DesignPoint, GpuConfig};
-use gpumem_sim::{MemoryMode, SimError};
+use gpumem_sim::SimError;
 use gpumem_simt::KernelProgram;
 use serde::{Deserialize, Serialize};
 
-use crate::run::{run_benchmarks_parallel, RunSpec};
+use super::speedups_over_baseline;
 
 /// Speedups of one design point over the baseline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -98,54 +98,16 @@ pub fn design_space_exploration(
     programs: &[Arc<dyn KernelProgram>],
     points: &[DesignPoint],
 ) -> Result<DseStudy, SimError> {
-    // Flatten (design-point × benchmark) into one parallel batch, baseline
-    // first.
-    let mut specs: Vec<RunSpec> = Vec::with_capacity(programs.len() * (points.len() + 1));
-    for p in programs {
-        specs.push(RunSpec {
-            cfg: cfg.clone(),
-            program: Arc::clone(p),
-            mode: MemoryMode::Hierarchy,
-        });
-    }
-    for dp in points {
-        let scaled = dp.apply(cfg);
-        for p in programs {
-            specs.push(RunSpec {
-                cfg: scaled.clone(),
-                program: Arc::clone(p),
-                mode: MemoryMode::Hierarchy,
-            });
-        }
-    }
-    let reports = run_benchmarks_parallel(&specs)?;
-
-    let n = programs.len();
-    let baseline_ipc: Vec<(String, f64)> = reports[..n]
+    let configs: Vec<GpuConfig> = points.iter().map(|dp| dp.apply(cfg)).collect();
+    let (baseline_ipc, speedups) = speedups_over_baseline(cfg, programs, &configs)?;
+    let points = points
         .iter()
-        .map(|r| (r.benchmark.clone(), r.ipc))
+        .zip(speedups)
+        .map(|(&design, speedups)| DsePointResult { design, speedups })
         .collect();
-
-    let mut results = Vec::with_capacity(points.len());
-    for (i, dp) in points.iter().enumerate() {
-        let chunk = &reports[n * (i + 1)..n * (i + 2)];
-        let speedups = chunk
-            .iter()
-            .zip(&baseline_ipc)
-            .map(|(r, (name, base))| {
-                debug_assert_eq!(&r.benchmark, name);
-                (name.clone(), if *base > 0.0 { r.ipc / base } else { 1.0 })
-            })
-            .collect();
-        results.push(DsePointResult {
-            design: *dp,
-            speedups,
-        });
-    }
-
     Ok(DseStudy {
         baseline_ipc,
-        points: results,
+        points,
     })
 }
 

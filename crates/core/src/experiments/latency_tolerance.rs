@@ -1,11 +1,12 @@
 //! Section II / Fig. 1: the latency tolerance profile.
 //!
-//! The baseline architecture is run once to obtain its IPC and its actual
-//! average L1 miss latency; then the memory hierarchy below the L1s is
-//! replaced by a fixed-latency responder ([`gpumem_sim::MemoryMode::FixedLatency`])
-//! and the latency is swept. Each point's IPC is normalized to the
-//! baseline's, so the curve crosses 1.0 at the baseline's effective memory
-//! latency — the paper's shaded intercept region.
+//! The baseline architecture is run to obtain its IPC and its actual
+//! average L1 miss latency; alongside it, in the same batch, the memory
+//! hierarchy below the L1s is replaced by a fixed-latency responder
+//! ([`gpumem_sim::MemoryMode::FixedLatency`]) and the latency is swept.
+//! Each point's IPC is normalized to the baseline's, so the curve crosses
+//! 1.0 at the baseline's effective memory latency — the paper's shaded
+//! intercept region.
 
 use std::sync::Arc;
 
@@ -14,7 +15,7 @@ use gpumem_sim::{MemoryMode, SimError};
 use gpumem_simt::KernelProgram;
 use serde::{Deserialize, Serialize};
 
-use crate::run::{run_benchmark, run_benchmarks_parallel, RunSpec};
+use crate::run::{run_benchmarks_parallel, RunSpec};
 
 /// The x-axis points of the paper's Fig. 1: 0 to 800 cycles in steps of
 /// 50.
@@ -102,22 +103,22 @@ pub fn latency_tolerance_profile(
     program: &Arc<dyn KernelProgram>,
     latencies: &[u64],
 ) -> Result<LatencyProfile, SimError> {
-    let baseline = run_benchmark(cfg, program, MemoryMode::Hierarchy)?;
-    let baseline_ipc = baseline.ipc;
-
-    let specs: Vec<RunSpec> = latencies
-        .iter()
-        .map(|&l| RunSpec {
+    // One batch: the baseline at index 0, then every fixed latency.
+    let specs: Vec<RunSpec> = std::iter::once(MemoryMode::Hierarchy)
+        .chain(latencies.iter().map(|&l| MemoryMode::FixedLatency(l)))
+        .map(|mode| RunSpec {
             cfg: cfg.clone(),
             program: Arc::clone(program),
-            mode: MemoryMode::FixedLatency(l),
+            mode,
         })
         .collect();
     let reports = run_benchmarks_parallel(&specs)?;
+    let (baseline, reports) = reports.split_first().expect("the batch holds the baseline");
+    let baseline_ipc = baseline.ipc;
 
     let mut points: Vec<LatencyPoint> = latencies
         .iter()
-        .zip(&reports)
+        .zip(reports)
         .map(|(&latency, r)| LatencyPoint {
             latency,
             ipc: r.ipc,

@@ -388,8 +388,9 @@ impl GpuSimulator {
     ///
     /// The caller must have proven via
     /// [`next_event`](GpuSimulator::next_event) that no component can act
-    /// before `target`; [`run`](GpuSimulator::run) is the canonical
-    /// caller.
+    /// before `target`. [`run`](GpuSimulator::run) skips idle cycles on its
+    /// own; this entry point exists for interleaving tests
+    /// (`tests/interleaving.rs`) that alternate stepping and skipping.
     ///
     /// # Panics
     ///

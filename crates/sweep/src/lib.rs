@@ -17,10 +17,10 @@
 //!   and recorded in an append-only write-ahead journal (`journal.log`).
 //!   Corrupt or truncated entries are detected on read, quarantined, and
 //!   recomputed — never served.
-//! * [`run_sweep`] executes the missing cells through a bounded worker
-//!   pool with per-cell deadlines and a deterministic retry budget
-//!   ([`gpumem::RetryPolicy`]); deterministic simulator errors fail fast,
-//!   only host-dependent ones retry.
+//! * [`run_sweep`] executes the missing cells through the shared worker
+//!   pool ([`gpumem::run_pool`]) with per-cell deadlines and a
+//!   deterministic retry budget ([`RetryPolicy`]); deterministic simulator
+//!   errors and panics fail fast, only host-dependent ones retry.
 //!
 //! Killing the process at *any* point — including mid-write, which the
 //! crash-injection hooks in [`SweepOptions`] emulate at adversarially
@@ -33,11 +33,13 @@
 
 mod journal;
 mod orchestrator;
+mod retry;
 mod spec;
 mod store;
 
 pub use journal::{DiskStore, JournalEvent, JournalRecord};
 pub use orchestrator::{run_sweep, CellOutcome, CellStatus, SweepOptions, SweepSummary};
+pub use retry::{Backoff, RetryPolicy};
 pub use spec::{parse_design_point, parse_mode, EngineChoice, SweepCell, SweepSpec};
 pub use store::{CellEnvelope, Lookup, ResultStore};
 

@@ -1,24 +1,24 @@
-//! The sweep executor: admission through the store, a bounded worker
-//! pool for the misses, and single-writer commit ordering.
+//! The sweep executor: admission through the store, the shared worker
+//! pool ([`gpumem::run_pool`]) for the misses, and single-writer commit
+//! ordering.
 //!
 //! Concurrency model: workers only *simulate* — every store mutation
-//! (journal appends, cell commits, quarantines) happens on the
-//! coordinating thread, so the write-ahead journal has exactly one writer
-//! and needs no locking. Workers stream `(index, attempts, result)` over a
-//! channel and the coordinator commits results in arrival order; the
-//! content-addressed store makes the commit order irrelevant to the final
-//! state.
+//! (journal appends, cell commits, quarantines) happens in the pool's sink
+//! on the coordinating thread, so the write-ahead journal has exactly one
+//! writer and needs no locking. The sink commits results in arrival order;
+//! the content-addressed store makes the commit order irrelevant to the
+//! final state.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 
-use gpumem::{retry_with_policy, RetryPolicy};
-use gpumem_sim::{GpuSimulator, SimError, SimReport};
+use gpumem::run_pool;
+use gpumem_sim::{GpuSimulator, SimReport};
 use gpumem_types::SweepError;
 use serde::{Deserialize, Serialize};
 
 use crate::journal::JournalEvent;
+use crate::retry::{retry_with_policy, RetryPolicy};
 use crate::spec::{EngineChoice, SweepCell, SweepSpec};
 use crate::store::{Lookup, ResultStore};
 
@@ -103,20 +103,41 @@ impl SweepSummary {
 }
 
 /// Executes one cell, honouring its engine choice, under a retry policy.
+/// Returns the attempts made and the report, or the failure detail.
+///
+/// A panicking simulation (e.g. a trace whose CTA cannot fit the
+/// configured core) fails its cell with detail `panicked: <msg>` instead
+/// of taking the sweep down; the panic is deterministic, so it is not
+/// retried.
 fn execute_cell(
     cell: &SweepCell,
     deadline_seconds: Option<f64>,
     retry: &RetryPolicy,
-) -> (u32, Result<SimReport, SimError>) {
+) -> (u32, Result<SimReport, String>) {
     let program: Arc<dyn gpumem_simt::KernelProgram> = cell.workload.program();
-    retry_with_policy(retry, cell.key.lo, || {
-        let mut sim = GpuSimulator::new(cell.cfg.clone(), Arc::clone(&program), cell.mode);
-        sim.set_deadline_seconds(deadline_seconds);
-        match cell.engine {
-            EngineChoice::Event => sim.run(cell.max_cycles),
-            EngineChoice::Stepped => sim.run_stepped(cell.max_cycles),
+    let mut tries = 0;
+    let run = panic::catch_unwind(AssertUnwindSafe(|| {
+        retry_with_policy(retry, cell.key.lo, || {
+            tries += 1;
+            let mut sim = GpuSimulator::new(cell.cfg.clone(), Arc::clone(&program), cell.mode);
+            sim.set_deadline_seconds(deadline_seconds);
+            match cell.engine {
+                EngineChoice::Event => sim.run(cell.max_cycles),
+                EngineChoice::Stepped => sim.run_stepped(cell.max_cycles),
+            }
+        })
+    }));
+    match run {
+        Ok((attempts, out)) => (attempts, out.map_err(|e| e.to_string())),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|m| (*m).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_owned());
+            (tries, Err(format!("panicked: {msg}")))
         }
-    })
+    }
 }
 
 /// Runs (or resumes — the two are the same operation) a sweep over the
@@ -186,86 +207,50 @@ pub fn run_sweep(
         store.journal_cell_event(JournalEvent::Begin, cells[i].key, "")?;
     }
 
-    // Execution: workers simulate, the coordinator commits.
-    let workers = if opts.workers == 0 {
-        thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-    } else {
-        opts.workers
-    }
-    .min(misses.len().max(1));
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<(usize, u32, Result<SimReport, SimError>)>();
+    // Execution: workers simulate, the sink commits on this thread. A
+    // store error (an injected crash or real I/O) stops the pool; results
+    // still in flight are dropped uncommitted, as a dead process would.
     let mut crash: Option<SweepError> = None;
-
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (next, stop) = (&next, &stop);
-            let (cells, misses) = (&cells, &misses);
-            let retry = &opts.retry;
-            let deadline = spec.deadline_seconds;
-            scope.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                if slot >= misses.len() {
-                    break;
-                }
-                let idx = misses[slot];
-                let (attempts, out) = execute_cell(&cells[idx], deadline, retry);
-                if tx.send((idx, attempts, out)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        for (idx, attempts, out) in rx {
-            if crash.is_some() {
-                continue; // crashed: drain without committing, as a dead process would
-            }
-            outcomes[idx].attempts = attempts;
+    run_pool(
+        misses.len(),
+        opts.workers,
+        |slot| execute_cell(&cells[misses[slot]], spec.deadline_seconds, &opts.retry),
+        |slot, (attempts, out)| {
+            let idx = misses[slot];
+            let outcome = &mut outcomes[idx];
+            outcome.attempts = attempts;
             let result = match out {
-                Ok(report) => store.commit(cells[idx].key, &outcomes[idx].label, attempts, &report),
-                Err(error) => {
-                    let detail = error.to_string();
-                    outcomes[idx].status = CellStatus::Failed;
-                    outcomes[idx].detail = detail.clone();
-                    store
-                        .journal_cell_event(JournalEvent::Failed, cells[idx].key, &detail)
-                        .map(|()| String::new())
+                Ok(report) => store
+                    .commit(cells[idx].key, &outcome.label, attempts, &report)
+                    .map(|digest| outcome.result_digest = Some(digest)),
+                Err(detail) => {
+                    outcome.status = CellStatus::Failed;
+                    let logged =
+                        store.journal_cell_event(JournalEvent::Failed, cells[idx].key, &detail);
+                    outcome.detail = detail;
+                    logged
                 }
             };
-            match result {
-                Ok(digest) => {
-                    if outcomes[idx].status != CellStatus::Failed {
-                        outcomes[idx].result_digest = Some(digest);
-                    }
-                    if opts.progress {
-                        eprintln!(
-                            "cell {} {} {} (attempts {})",
-                            outcomes[idx].key,
-                            outcomes[idx].label,
-                            match outcomes[idx].status {
-                                CellStatus::Failed => "FAILED",
-                                CellStatus::Recomputed => "recomputed",
-                                _ => "computed",
-                            },
-                            attempts
-                        );
-                    }
-                }
-                Err(e) => {
-                    stop.store(true, Ordering::Relaxed);
-                    crash = Some(e);
-                }
+            if let Err(e) = result {
+                crash = Some(e);
+                return false;
             }
-        }
-    });
+            if opts.progress {
+                eprintln!(
+                    "cell {} {} {} (attempts {})",
+                    outcome.key,
+                    outcome.label,
+                    match outcome.status {
+                        CellStatus::Failed => "FAILED",
+                        CellStatus::Recomputed => "recomputed",
+                        _ => "computed",
+                    },
+                    attempts
+                );
+            }
+            true
+        },
+    );
 
     if let Some(e) = crash {
         return Err(e);

@@ -141,7 +141,7 @@ impl WorkloadParams {
 
     /// Scales the amount of work (grid and iterations) by `factor`,
     /// keeping the per-iteration behaviour identical. Used to produce fast
-    /// variants for unit tests and Criterion benches.
+    /// variants for unit tests and quick `repro --scale` runs.
     pub fn scaled(&self, factor: f64) -> Self {
         let mut p = self.clone();
         p.ctas = ((f64::from(self.ctas) * factor).round() as u32).max(1);

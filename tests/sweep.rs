@@ -12,8 +12,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gpumem::RetryPolicy;
-use gpumem_sweep::{run_sweep, CellStatus, ResultStore, SweepOptions, SweepSpec};
+use gpumem_sweep::{run_sweep, CellStatus, ResultStore, RetryPolicy, SweepOptions, SweepSpec};
 use proptest::prelude::*;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -289,28 +288,74 @@ fn missing_cell_file_with_committed_journal_record_is_recomputed() {
 
 #[test]
 fn deterministic_failures_fail_fast_and_commit_nothing() {
-    let mut spec = tiny_spec();
     // A cycle budget no cell can meet: every cell fails with a
-    // deterministic Watchdog error.
-    spec.max_cycles = 100;
-    let dir = scratch("failfast");
-    let summary = run_sweep(&spec, &dir, &opts()).unwrap();
-    assert_eq!(summary.failed, 4);
-    assert_eq!(summary.cache_hits, 0);
-    for o in &summary.outcomes {
-        assert_eq!(o.status, CellStatus::Failed);
-        assert_eq!(
-            o.attempts, 1,
-            "a deterministic failure must not burn the retry budget"
-        );
-        assert!(o.result_digest.is_none());
-    }
-    assert!(cell_digests(&spec, &dir).iter().all(|d| d.is_none()));
+    // deterministic Watchdog error, after one attempt whatever the budget.
+    let mut watchdog = tiny_spec();
+    watchdog.max_cycles = 100;
+    // A zero wall-clock deadline: a host-dependent error, so every cell
+    // spends its whole retry budget before failing.
+    let mut deadline = tiny_spec();
+    deadline.deadline_seconds = Some(0.0);
+    let deadline_opts = SweepOptions {
+        retry: RetryPolicy::immediate(3),
+        ..opts()
+    };
+    for (spec, opts, attempts) in [(watchdog, opts(), 1), (deadline, deadline_opts, 3)] {
+        let dir = scratch("failfast");
+        let summary = run_sweep(&spec, &dir, &opts).unwrap();
+        assert_eq!(summary.failed, 4);
+        assert_eq!(summary.cache_hits, 0);
+        for o in &summary.outcomes {
+            assert_eq!(o.status, CellStatus::Failed);
+            assert_eq!(o.attempts, attempts, "{}", o.detail);
+            assert!(o.result_digest.is_none());
+        }
+        assert!(cell_digests(&spec, &dir).iter().all(|d| d.is_none()));
 
-    // Failed cells are not cached: a re-run attempts them again.
-    let again = run_sweep(&spec, &dir, &opts()).unwrap();
-    assert_eq!(again.failed, 4);
-    assert_eq!(again.store_digest, summary.store_digest);
+        // Failed cells are not cached: a re-run attempts them again.
+        let again = run_sweep(&spec, &dir, &opts).unwrap();
+        assert_eq!(again.failed, 4);
+        assert_eq!(again.store_digest, summary.store_digest);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_panicking_cell_fails_alone_and_resume_retries_only_it() {
+    // A trace whose CTA needs 64 warp slots cannot be placed on a GTX480
+    // core (48 slots): building its simulator panics.
+    let dir = scratch("panic");
+    fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("wide.trace");
+    let mut text = String::from(
+        "gpumem-trace v1\nkernel name=wide grid=1 warps_per_cta=64 max_ctas_per_core=1 \
+         shmem_bytes=0 line_bytes=128\n",
+    );
+    for w in 0..64 {
+        text.push_str(&format!("warp cta=0 warp={w}\nALU lat=4\nend\n"));
+    }
+    fs::write(&trace, text).unwrap();
+    let mut spec = tiny_spec();
+    spec.design_points = vec!["baseline".into()];
+    spec.workloads.push(format!("trace:{}", trace.display()));
+    let store = dir.join("store");
+
+    let first = run_sweep(&spec, &store, &opts()).unwrap();
+    assert_eq!((first.cells, first.computed, first.failed), (3, 2, 1));
+    let bad = &first.outcomes[2];
+    assert_eq!(bad.status, CellStatus::Failed);
+    assert_eq!(bad.attempts, 1, "a panic is deterministic: no retry");
+    assert!(bad.detail.starts_with("panicked: "), "{}", bad.detail);
+    let digests = cell_digests(&spec, &store);
+    assert!(digests[..2].iter().all(Option::is_some));
+    assert!(digests[2].is_none());
+    let journal = fs::read_to_string(store.join("journal.log")).unwrap();
+    assert!(journal.contains("\"Failed\"") && journal.contains("\"Done\""));
+
+    let resumed = run_sweep(&spec, &store, &opts()).unwrap();
+    assert_eq!((resumed.cache_hits, resumed.failed), (2, 1));
+    assert_eq!(resumed.attempts_total, 1, "only the failed cell reruns");
+    assert_eq!(resumed.store_digest, first.store_digest);
     let _ = fs::remove_dir_all(&dir);
 }
 
